@@ -31,6 +31,8 @@ using namespace anton2;
 
 namespace {
 
+constexpr int kEndpointsPerNode = 8;
+
 enum class WeightMode { None, Forward, Reverse, Both };
 
 double
@@ -44,7 +46,7 @@ runBlend(const std::vector<int> &radix, int cores, std::uint64_t batch,
     prof.beginPhase("build");
     MachineConfig cfg;
     cfg.radix = radix;
-    cfg.chip.endpoints_per_node = 8;
+    cfg.chip.endpoints_per_node = kEndpointsPerNode;
     cfg.chip.arb = mode == WeightMode::None ? ArbPolicy::RoundRobin
                                             : ArbPolicy::InverseWeighted;
     cfg.use_packaging = false;
@@ -178,7 +180,8 @@ main(int argc, char **argv)
         std::fprintf(stderr, "error: --threads must be >= 1\n");
         return 1;
     }
-    if (!host_profile.validate() || !report.validate())
+    if (!host_profile.validate() || !report.validate()
+        || !bench::validateCores(cores, kEndpointsPerNode))
         return 1;
     const std::vector<int> radix{ static_cast<int>(kx),
                                   static_cast<int>(ky),

@@ -31,6 +31,8 @@ using namespace anton2;
 
 namespace {
 
+constexpr int kEndpointsPerNode = 8;
+
 struct SweepPoint
 {
     double normalized;
@@ -52,7 +54,7 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
     prof.beginPhase("build");
     MachineConfig cfg;
     cfg.radix = radix;
-    cfg.chip.endpoints_per_node = 8;
+    cfg.chip.endpoints_per_node = kEndpointsPerNode;
     cfg.chip.arb = policy;
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 20;
@@ -170,7 +172,8 @@ main(int argc, char **argv)
     run.registerInto(reg);
     if (!reg.parse(argc, argv))
         return 1;
-    if (!run.validate() || !bench::validateOutputPaths({ json_path }))
+    if (!run.validate() || !bench::validateOutputPaths({ json_path })
+        || !bench::validateCores(cores, kEndpointsPerNode))
         return 1;
     const std::vector<int> radix{ static_cast<int>(kx),
                                   static_cast<int>(ky),

@@ -40,6 +40,8 @@ using namespace anton2;
 
 namespace {
 
+constexpr int kEndpointsPerNode = 8;
+
 struct SpeedResult
 {
     int threads;
@@ -80,7 +82,7 @@ runLoad(const std::vector<int> &radix, int cores, double rate,
 {
     MachineConfig cfg;
     cfg.radix = radix;
-    cfg.chip.endpoints_per_node = 8;
+    cfg.chip.endpoints_per_node = kEndpointsPerNode;
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 20;
     cfg.seed = 17;
@@ -224,7 +226,8 @@ main(int argc, char **argv)
                              "be >= 1 and --lookahead >= 0\n");
         return 1;
     }
-    if (!bench::validateOutputPaths({ json_path }))
+    if (!bench::validateOutputPaths({ json_path })
+        || !bench::validateCores(cores, kEndpointsPerNode))
         return 1;
     std::vector<int> thread_counts;
     if (threads_csv != nullptr) {
@@ -261,9 +264,9 @@ main(int argc, char **argv)
         // enough to keep every router busy, low enough to stay out of
         // the congested regime where queue scans dominate.
         ChipConfig chip;
-        chip.endpoints_per_node = 8;
+        chip.endpoints_per_node = kEndpointsPerNode;
         const TorusGeom geom(radix);
-        const ChipLayout layout(8, 3);
+        const ChipLayout layout(kEndpointsPerNode, 3);
         LoadModel lm(geom, layout, chip, 1);
         Rng lrng(2);
         UniformPattern uniform(geom);

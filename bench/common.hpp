@@ -120,6 +120,21 @@ validateOutputPaths(std::initializer_list<const char *> paths)
     return ok;
 }
 
+/**
+ * Fail fast on a --cores value the chip cannot host: the benches' drivers
+ * use endpoints [0, cores), which must lie within the chip's
+ * @p endpoints_per_node.
+ */
+inline bool
+validateCores(long cores, int endpoints_per_node)
+{
+    if (cores >= 1 && cores <= endpoints_per_node)
+        return true;
+    std::fprintf(stderr, "error: --cores must be in [1, %d], got %ld\n",
+                 endpoints_per_node, cores);
+    return false;
+}
+
 inline void
 writeFile(const std::string &path, const std::string &content)
 {

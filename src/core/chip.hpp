@@ -80,19 +80,14 @@ class Chip
     void bindMetrics(MetricsRegistry &reg, double lat_bin_width = 32.0);
 
     /**
-     * Bind every component of this chip to @p sink: routers emit
-     * lifecycle events and start stall sampling, channel adapters emit
-     * link-traverse events, endpoints emit inject/eject events.
+     * Bind every component of this chip to @p bus (see the components'
+     * bindObservers for what each emits). With a trace sink attached,
+     * routers also start stall sampling; with a flow probe attached,
+     * every router, channel adapter, and endpoint registers its unit
+     * name with the probe. Idempotent: call again after attaching a
+     * further subscriber.
      */
-    void bindTrace(TraceSink &sink);
-
-    /**
-     * Bind every component of this chip to @p probe and register their
-     * unit names with it: routers emit switch-traversal hop spans,
-     * channel adapters emit torus-link egress spans, endpoints emit
-     * injection spans and the flight-closing delivery records.
-     */
-    void bindFlow(FlowProbe &probe);
+    void bindObservers(ObserverBus &bus);
 
     NodeId node() const { return node_; }
     const ChipLayout &layout() const { return layout_; }

@@ -177,13 +177,10 @@ Machine::allocPacket()
 void
 Machine::serialPhase(Cycle now)
 {
-    if (trace_ != nullptr)
-        trace_->mergeStaged(now);
-    // Flow hop records merge before the delivery flush: every hop of a
+    // Observer records merge before the delivery flush: every hop of a
     // packet delivered this cycle must be applied before the delivery
     // closes its flight into the flow matrix.
-    if (flow_ != nullptr)
-        flow_->mergeStaged(now);
+    obs_.merge(now);
     for (EndpointAdapter *ep : flush_order_)
         ep->flushDeliveries(now);
 }
@@ -192,12 +189,10 @@ void
 Machine::setThreads(int n)
 {
     engine_.setThreads(n);
-    if (trace_ != nullptr)
-        trace_->configureLanes(engine_.laneCount(),
-                               static_cast<std::size_t>(lookahead_cap_));
-    if (flow_ != nullptr)
-        flow_->configureLanes(engine_.laneCount(),
-                              static_cast<std::size_t>(lookahead_cap_));
+    // One bucket per lane per cycle of the largest window the engine
+    // may run (the lane count changes only here; the cap never does).
+    obs_.configure(engine_.laneCount(),
+                   static_cast<std::size_t>(lookahead_cap_));
 }
 
 void
@@ -206,12 +201,6 @@ Machine::setLookahead(Cycle w)
     if (w == 0 || w > lookahead_cap_)
         w = lookahead_cap_;
     engine_.setWindow(w);
-    if (trace_ != nullptr)
-        trace_->configureLanes(engine_.laneCount(),
-                               static_cast<std::size_t>(lookahead_cap_));
-    if (flow_ != nullptr)
-        flow_->configureLanes(engine_.laneCount(),
-                              static_cast<std::size_t>(lookahead_cap_));
 }
 
 void
@@ -795,10 +784,9 @@ Machine::doEnableFlows(const FlowProbeConfig &cfg)
     if (flow_ != nullptr)
         return *flow_;
     flow_ = std::make_unique<FlowProbe>(cfg);
-    flow_->configureLanes(engine_.laneCount(),
-                          static_cast<std::size_t>(lookahead_cap_));
+    obs_.attachFlows(*flow_);
     for (auto &c : chips_)
-        c->bindFlow(*flow_);
+        c->bindObservers(obs_);
     // Unlike tracing's stall samplers, hop records are emitted only
     // when flits actually move, so idle shards may still be skipped.
     return *flow_;
@@ -818,10 +806,9 @@ Machine::doEnableTracing(const TraceConfig &cfg)
         return *trace_;
     trace_ = std::make_unique<RingTraceSink>(cfg.capacity);
     trace_->setSampleStride(cfg.sample);
-    trace_->configureLanes(engine_.laneCount(),
-                           static_cast<std::size_t>(lookahead_cap_));
+    obs_.attachTrace(*trace_);
     for (auto &c : chips_)
-        c->bindTrace(*trace_);
+        c->bindObservers(obs_);
     // Stall attribution classifies every router output port every cycle
     // (per-port class totals must sum to the sampled cycle count), so
     // idle shards cannot be skipped while tracing is bound.
@@ -1101,8 +1088,11 @@ Machine::run(const RunSpec &spec)
         progress_->setTargetCycles(start + spec.max_cycles);
 
     Cycle stride = spec.check_every;
-    if (stride == 0)
+    if (stride == 0) {
         stride = engine_.window();
+        if (spec.until_quiescent && stride < 8)
+            stride = 8;
+    }
     if (stride < 1)
         stride = 1;
 

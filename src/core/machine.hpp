@@ -22,10 +22,10 @@
 #include "sim/engine.hpp"
 #include "sim/flow.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observer_bus.hpp"
 #include "sim/rng.hpp"
 #include "sim/rollup.hpp"
 #include "sim/timeseries.hpp"
-#include "trace/trace.hpp"
 
 namespace anton2 {
 
@@ -137,8 +137,7 @@ const char *stopReasonName(StopReason r);
 /**
  * One run, declaratively: how long, what stops it, and the checkpoint
  * plumbing. This is the single entry point behind every experiment
- * harness; the legacy run helpers survive as thin forwarders that build
- * a RunSpec. Engaged stop conditions compose: the run ends at the first
+ * harness. Engaged stop conditions compose: the run ends at the first
  * one to fire (the delivery target is checked first, then audit trips,
  * quiescence, and the custom predicate).
  */
@@ -151,9 +150,12 @@ struct RunSpec
     std::function<bool()> stop;
 
     /** Predicate-check stride in cycles; 0 = the engine's lookahead
-     * window (checks at barrier boundaries, the natural cadence).
-     * Monotone conditions tolerate a coarse stride at the cost of
-     * overshooting the firing cycle by at most `check_every - 1`. */
+     * window (checks at barrier boundaries, the natural cadence), or,
+     * with until_quiescent set, max(window, 8): the quiescence probe
+     * walks every component and drain is monotone, so it need not run
+     * every cycle. Monotone conditions tolerate a coarse stride at the
+     * cost of overshooting the firing cycle by at most
+     * `check_every - 1`. */
     Cycle check_every = 0;
 
     /** Stop once totalDelivered() reaches this count (0 = disabled). */
@@ -179,7 +181,7 @@ struct RunSpec
      */
     std::string checkpoint_out;
 
-    /** Plain fixed-length run (the old run(cycles)). */
+    /** Plain fixed-length run. */
     static RunSpec
     forCycles(Cycle n)
     {
@@ -188,7 +190,7 @@ struct RunSpec
         return s;
     }
 
-    /** Run until @p count total deliveries (the old runUntilDelivered). */
+    /** Run until @p count total deliveries. */
     static RunSpec
     untilDelivered(std::uint64_t count, Cycle max_cycles)
     {
@@ -198,7 +200,7 @@ struct RunSpec
         return s;
     }
 
-    /** Drain the network (the old runUntilQuiescent). */
+    /** Drain the network. */
     static RunSpec
     untilQuiescent(Cycle max_cycles)
     {
@@ -330,34 +332,6 @@ class Machine
      * thread count.
      */
     RunResult run(const RunSpec &spec);
-
-    /** Forwarder: run for a fixed @p cycles (RunSpec::forCycles). */
-    void
-    run(Cycle cycles)
-    {
-        run(RunSpec::forCycles(cycles));
-    }
-
-    /** Forwarder: run until @p count deliveries (or timeout); true if
-     * the target was reached (RunSpec::untilDelivered). */
-    bool
-    runUntilDelivered(std::uint64_t count, Cycle max_cycles)
-    {
-        return run(RunSpec::untilDelivered(count, max_cycles)).reason
-               == StopReason::Delivered;
-    }
-
-    /** Forwarder: run until no component holds work (or timeout); true
-     * on quiescence (RunSpec::untilQuiescent). */
-    bool
-    runUntilQuiescent(Cycle max_cycles)
-    {
-        RunSpec spec = RunSpec::untilQuiescent(max_cycles);
-        // busy() walks every component and drain is monotone, so check
-        // no more often than every 8 cycles (or the lookahead window).
-        spec.check_every = engine_.window() > 8 ? engine_.window() : 8;
-        return run(spec).reason == StopReason::Quiescent;
-    }
 
     std::uint64_t totalDelivered() const { return delivered_; }
     Cycle lastDeliveryTime() const { return last_delivery_; }
@@ -570,10 +544,10 @@ class Machine
     void wireProgressRate();
     Auditor &doEnableAudit(const AuditConfig &cfg); // machine_audit.cpp
     void applyFault(const NetworkFault &f);         // machine_audit.cpp
-    /** Per-cycle post-barrier work: merge staged trace and flow lanes,
-     * then run deferred delivery side effects in endpoint registration
-     * order (so a cycle's hop records land before the deliveries that
-     * close those packets' flights). */
+    /** Per-cycle post-barrier work: merge the observer bus's staged
+     * records, then run deferred delivery side effects in endpoint
+     * registration order (so a cycle's hop records land before the
+     * deliveries that close those packets' flights). */
     void serialPhase(Cycle now);
     void prepareUnicast(Packet &pkt);
     /** Pooled packet allocation: recycles Packet objects (and their
@@ -636,6 +610,9 @@ class Machine
     std::unique_ptr<MetricsRegistry> metrics_;
     Counter *m_delivered_ = nullptr; ///< machine.delivered
     ScalarStat *m_hops_ = nullptr;   ///< machine.hops per delivery
+    /** Carries trace and flow records from the components to trace_
+     * and flow_ (staged per lane, merged in serialPhase). */
+    ObserverBus obs_;
     std::unique_ptr<RingTraceSink> trace_;
     std::unique_ptr<FlowProbe> flow_;
     std::unique_ptr<IntervalSampler> sampler_;

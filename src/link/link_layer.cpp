@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "debug/checkpoint.hpp"
-
 namespace anton2 {
 
 std::uint32_t
@@ -54,14 +52,6 @@ LinkSender::bindMetrics(MetricsRegistry &reg, const std::string &prefix)
 }
 
 void
-LinkSender::bindTrace(TraceSink &sink, std::int32_t node, std::int16_t unit)
-{
-    trace_.sink = &sink;
-    trace_.node = node;
-    trace_.unit = unit;
-}
-
-void
 LinkSender::tick(Cycle now)
 {
     // Process cumulative acknowledgments.
@@ -86,10 +76,6 @@ LinkSender::tick(Cycle now)
         retransmissions_ += next_ - base_;
         if (m_retransmissions_ != nullptr)
             m_retransmissions_->inc(next_ - base_);
-        tracePacketEvent(trace_, TraceUnitKind::Link,
-                         TraceEventType::Retransmit, now, /*packet=*/0,
-                         /*port=*/static_cast<int>(next_ - base_),
-                         /*vc=*/0);
         next_ = base_;
         last_progress_ = now;
     }
@@ -181,126 +167,6 @@ LinkReceiver::tick(Cycle now)
     ack_tx_.send(now, ack);
     if (m_acks_tx_ != nullptr)
         m_acks_tx_->inc();
-}
-
-namespace {
-
-void
-encodeFrame(CkptWriter &w, const LinkFrame &f)
-{
-    w.u32(f.seq);
-    for (std::uint64_t word : f.data)
-        w.u64(word);
-    w.u32(f.crc);
-    w.b(f.is_ack);
-    w.u32(f.ack_seq);
-}
-
-LinkFrame
-decodeFrame(CkptReader &r)
-{
-    LinkFrame f;
-    f.seq = r.u32();
-    for (auto &word : f.data)
-        word = r.u64();
-    f.crc = r.u32();
-    f.is_ack = r.b();
-    f.ack_seq = r.u32();
-    return f;
-}
-
-} // namespace
-
-void
-LossyFrameChannel::saveState(CkptWriter &w) const
-{
-    w.tag("link.channel");
-    w.u32(static_cast<std::uint32_t>(wire_.ringSlots()));
-    std::uint32_t occupied = 0;
-    wire_.forEachSlot([&](Cycle, const LinkFrame &) { ++occupied; });
-    w.u32(occupied);
-    wire_.forEachSlot([&](Cycle at, const LinkFrame &f) {
-        w.cycle(at);
-        encodeFrame(w, f);
-    });
-    for (std::uint64_t word : rng_.state())
-        w.u64(word);
-    w.u64(frames_);
-}
-
-void
-LossyFrameChannel::loadState(CkptReader &r)
-{
-    r.expect("link.channel");
-    if (r.u32() != wire_.ringSlots())
-        throw CheckpointError("link wire ring size mismatch");
-    wire_.clearAll();
-    std::uint32_t occupied = r.u32();
-    for (std::uint32_t i = 0; i < occupied; ++i) {
-        Cycle at = r.cycle();
-        wire_.restoreSlot(at, decodeFrame(r));
-    }
-    std::array<std::uint64_t, 4> state;
-    for (auto &word : state)
-        word = r.u64();
-    rng_.setState(state);
-    frames_ = r.u64();
-}
-
-void
-LinkSender::saveState(CkptWriter &w) const
-{
-    w.tag("link.sender");
-    w.u32(static_cast<std::uint32_t>(queue_.size()));
-    for (const FlitPayload &flit : queue_)
-        for (std::uint64_t word : flit)
-            w.u64(word);
-    w.u32(base_);
-    w.u32(next_);
-    w.cycle(last_progress_);
-    w.i32(tokens_);
-    w.u64(transmitted_);
-    w.u64(retransmissions_);
-}
-
-void
-LinkSender::loadState(CkptReader &r)
-{
-    r.expect("link.sender");
-    queue_.clear();
-    std::uint32_t depth = r.u32();
-    for (std::uint32_t i = 0; i < depth; ++i) {
-        FlitPayload flit{};
-        for (auto &word : flit)
-            word = r.u64();
-        queue_.push_back(flit);
-    }
-    base_ = r.u32();
-    next_ = r.u32();
-    last_progress_ = r.cycle();
-    tokens_ = r.i32();
-    transmitted_ = r.u64();
-    retransmissions_ = r.u64();
-}
-
-void
-LinkReceiver::saveState(CkptWriter &w) const
-{
-    w.tag("link.receiver");
-    w.u32(expected_);
-    w.u64(delivered_);
-    w.u64(crc_drops_);
-    w.u64(order_drops_);
-}
-
-void
-LinkReceiver::loadState(CkptReader &r)
-{
-    r.expect("link.receiver");
-    expected_ = r.u32();
-    delivered_ = r.u64();
-    crc_drops_ = r.u64();
-    order_drops_ = r.u64();
 }
 
 } // namespace anton2

@@ -83,11 +83,6 @@ class LossyFrameChannel
     bool busy() const { return wire_.busy(); }
     std::uint64_t framesSent() const { return frames_; }
 
-    /** Checkpoint in-flight frames, the error-injection RNG, and the
-     * frame tally. */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
-
   private:
     Wire<LinkFrame> wire_;
     double flip_prob_;
@@ -129,27 +124,14 @@ class LinkSender : public Component
      */
     void bindMetrics(MetricsRegistry &reg, const std::string &prefix);
 
-    /**
-     * Start emitting a retransmit event per go-back-N rewind into
-     * @p sink. Frames carry no packet identity, so the records have
-     * packet id 0 and always pass the sampling filter.
-     */
-    void bindTrace(TraceSink &sink, std::int32_t node, std::int16_t unit);
-
     std::uint64_t framesTransmitted() const { return transmitted_; }
     std::uint64_t retransmissions() const { return retransmissions_; }
     std::size_t backlog() const { return queue_.size(); }
-
-    /** Checkpoint the go-back-N window: queue, sequence state, timer,
-     * tokens, and tallies. */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
 
   private:
     LinkConfig cfg_;
     LossyFrameChannel &tx_;
     LossyFrameChannel &ack_rx_;
-    TraceBinding trace_;
 
     Counter *m_frames_tx_ = nullptr;
     Counter *m_retransmissions_ = nullptr;
@@ -187,10 +169,6 @@ class LinkReceiver : public Component
     std::uint64_t delivered() const { return delivered_; }
     std::uint64_t crcDrops() const { return crc_drops_; }
     std::uint64_t orderDrops() const { return order_drops_; }
-
-    /** Checkpoint the expected sequence number and tallies. */
-    void saveState(CkptWriter &w) const;
-    void loadState(CkptReader &r);
 
   private:
     Counter *m_delivered_ = nullptr;

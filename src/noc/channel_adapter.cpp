@@ -78,21 +78,10 @@ ChannelAdapter::bindMetrics(MetricsRegistry &reg, const std::string &prefix)
 }
 
 void
-ChannelAdapter::bindTrace(TraceSink &sink, std::int32_t node,
-                          std::int16_t unit)
+ChannelAdapter::bindObservers(ObserverBus &bus, std::int32_t node,
+                              std::int16_t unit)
 {
-    trace_.sink = &sink;
-    trace_.node = node;
-    trace_.unit = unit;
-}
-
-void
-ChannelAdapter::bindFlow(FlowProbe &probe, std::int32_t node,
-                         std::int16_t unit)
-{
-    flow_.probe = &probe;
-    flow_.node = node;
-    flow_.unit = unit;
+    obs_ = ObsBinding{ &bus, node, unit };
 }
 
 void
@@ -177,7 +166,7 @@ ChannelAdapter::tickEgress(Cycle now)
             phit.payload = head.pkt->payload[head.sent];
             torus_out_->data.send(now, phit);
             if (phit.head)
-                tracePacketEvent(trace_, TraceUnitKind::ChannelAdapter,
+                tracePacketEvent(obs_, TraceUnitKind::ChannelAdapter,
                                  TraceEventType::LinkTraverse, now,
                                  head.pkt->id, -1, egress_link_vc_);
             ser_tokens_ -= cfg_.ser_tokens_per_flit;
@@ -190,7 +179,7 @@ ChannelAdapter::tickEgress(Cycle now)
             if (phit.tail) {
                 // Emit the link hop span while the entry is live (all
                 // cycles are existing state - no clock reads).
-                flowHopEvent(flow_, FlowUnitKind::Link, head.pkt->id,
+                flowHopEvent(obs_, FlowUnitKind::Link, head.pkt->id,
                              head.pkt->mcast_group, head.pkt->size_flits,
                              head.head_at, egress_grant_at_, now, -1,
                              egress_link_vc_);

@@ -21,9 +21,8 @@
 #include "noc/channel.hpp"
 #include "noc/packet.hpp"
 #include "sim/component.hpp"
-#include "sim/flow.hpp"
 #include "sim/metrics.hpp"
-#include "trace/trace.hpp"
+#include "sim/observer_bus.hpp"
 
 namespace anton2 {
 
@@ -111,18 +110,15 @@ class ChannelAdapter final : public Component
     void bindMetrics(MetricsRegistry &reg, const std::string &prefix);
 
     /**
-     * Start emitting link-traverse events (head flit serialized onto the
-     * torus link) into @p sink, stamped with this adapter's coordinates
-     * (@p node, @p unit = adapter index on the chip).
+     * Start emitting onto @p bus, stamped with this adapter's
+     * coordinates (@p node, @p unit = adapter index on the chip):
+     * link-traverse events (head flit serialized onto the torus link)
+     * while a trace sink is attached, and one egress hop span per
+     * packet (arrival, link grant, tail-serialized departure) while a
+     * flow probe is attached.
      */
-    void bindTrace(TraceSink &sink, std::int32_t node, std::int16_t unit);
-
-    /**
-     * Start emitting one per-packet egress hop span (arrival, link
-     * grant, tail-serialized departure) into @p probe, stamped with
-     * this adapter's coordinates.
-     */
-    void bindFlow(FlowProbe &probe, std::int32_t node, std::int16_t unit);
+    void bindObservers(ObserverBus &bus, std::int32_t node,
+                       std::int16_t unit);
 
     const ChannelAdapterConfig &config() const { return cfg_; }
     std::uint64_t flitsSent() const { return flits_sent_; }
@@ -268,8 +264,7 @@ class ChannelAdapter final : public Component
     int egress_packets_ = 0;
     int ingress_packets_ = 0;
     std::unique_ptr<ChannelAdapterMetrics> metrics_;
-    TraceBinding trace_;
-    FlowBinding flow_;
+    ObsBinding obs_;
 };
 
 } // namespace anton2

@@ -72,19 +72,10 @@ EndpointAdapter::bindMetrics(MetricsRegistry &reg,
 }
 
 void
-EndpointAdapter::bindTrace(TraceSink &sink)
+EndpointAdapter::bindObservers(ObserverBus &bus)
 {
-    trace_.sink = &sink;
-    trace_.node = addr_.node;
-    trace_.unit = static_cast<std::int16_t>(addr_.ep);
-}
-
-void
-EndpointAdapter::bindFlow(FlowProbe &probe)
-{
-    flow_.probe = &probe;
-    flow_.node = static_cast<std::int32_t>(addr_.node);
-    flow_.unit = static_cast<std::int16_t>(addr_.ep);
+    obs_ = ObsBinding{ &bus, static_cast<std::int32_t>(addr_.node),
+                       static_cast<std::int16_t>(addr_.ep) };
 }
 
 void
@@ -115,12 +106,12 @@ EndpointAdapter::tickInject(Cycle now)
             inject_q_[c].pop_front();
             next_class_ = (c + 1) % kNumTrafficClasses;
             inj_active_->inject_time = now;
-            tracePacketEvent(trace_, TraceUnitKind::Endpoint,
+            tracePacketEvent(obs_, TraceUnitKind::Endpoint,
                              TraceEventType::Inject, now, inj_active_->id,
                              -1, vc);
             // Source-queueing span: birth -> injection grant. Both
             // cycles already exist; the probe reads no clock.
-            flowHopEvent(flow_, FlowUnitKind::Endpoint, inj_active_->id,
+            flowHopEvent(obs_, FlowUnitKind::Endpoint, inj_active_->id,
                          inj_active_->mcast_group,
                          inj_active_->size_flits, inj_active_->birth,
                          now, now, -1, vc);
@@ -188,7 +179,7 @@ EndpointAdapter::tickEject(Cycle now)
     last_delivery_ = now;
     // The Eject record's port slot carries the packet's inter-node hop
     // count, surfaced as the flight record's `hops` column.
-    tracePacketEvent(trace_, TraceUnitKind::Endpoint, TraceEventType::Eject,
+    tracePacketEvent(obs_, TraceUnitKind::Endpoint, TraceEventType::Eject,
                      now, pkt->id, pkt->hops, phit->vc);
     if (defer_deliveries_)
         pending_.push_back({ std::move(pkt), head_at, now });
@@ -213,7 +204,8 @@ EndpointAdapter::deliverSideEffects(const PacketPtr &pkt, Cycle head_at,
     // Close the packet's flight in the flow matrix. Under a Machine
     // this runs in the serial delivery flush (canonical order), after
     // the cycle's staged hop records were merged.
-    if (flow_.probe != nullptr && pkt->mcast_group < 0) {
+    FlowProbe *probe = obs_.bus != nullptr ? obs_.bus->flows() : nullptr;
+    if (probe != nullptr && pkt->mcast_group < 0) {
         FlowDeliveryRecord d;
         d.packet = pkt->id;
         d.src_node = static_cast<std::int64_t>(pkt->src.node);
@@ -225,7 +217,7 @@ EndpointAdapter::deliverSideEffects(const PacketPtr &pkt, Cycle head_at,
         d.hops = pkt->hops;
         d.birth = pkt->birth;
         d.delivered = now;
-        flow_.probe->recordDelivery(d);
+        probe->recordDelivery(d);
     }
 
     if (deliver_fn_)

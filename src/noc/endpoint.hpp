@@ -23,10 +23,9 @@
 #include "noc/channel.hpp"
 #include "noc/packet.hpp"
 #include "sim/component.hpp"
-#include "sim/flow.hpp"
 #include "sim/metrics.hpp"
+#include "sim/observer_bus.hpp"
 #include "sim/stats.hpp"
-#include "trace/trace.hpp"
 
 namespace anton2 {
 
@@ -129,19 +128,14 @@ class EndpointAdapter final : public Component
                      double lat_bin_width = 32.0);
 
     /**
-     * Start emitting packet lifecycle events (inject at injection grant,
-     * eject at full reassembly) into @p sink, stamped with this
-     * endpoint's address.
+     * Start emitting onto @p bus, stamped with this endpoint's address:
+     * packet lifecycle events (inject at injection grant, eject at full
+     * reassembly) while a trace sink is attached; while a flow probe is
+     * attached, a source-queueing span at each injection grant and the
+     * flight-closing delivery record (from the serial delivery flush)
+     * that lands the packet in its flow-matrix cell.
      */
-    void bindTrace(TraceSink &sink);
-
-    /**
-     * Start emitting flow records into @p probe: a source-queueing span
-     * at each injection grant, and the flight-closing delivery record
-     * (from the serial delivery flush) that lands the packet in its
-     * flow-matrix cell.
-     */
-    void bindFlow(FlowProbe &probe);
+    void bindObservers(ObserverBus &bus);
 
     void setDeliverFn(DeliverFn fn) { deliver_fn_ = std::move(fn); }
     void setHandlerFn(HandlerFn fn) { handler_fn_ = std::move(fn); }
@@ -236,8 +230,7 @@ class EndpointAdapter final : public Component
     std::uint64_t flits_ejected_ = 0;
     Cycle last_delivery_ = 0;
     std::unique_ptr<EndpointMetrics> metrics_;
-    TraceBinding trace_;
-    FlowBinding flow_;
+    ObsBinding obs_;
 };
 
 } // namespace anton2

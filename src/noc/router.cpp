@@ -83,19 +83,10 @@ Router::bindMetrics(MetricsRegistry &reg, const std::string &prefix)
 }
 
 void
-Router::bindTrace(TraceSink &sink, std::int32_t node, std::int16_t unit)
+Router::bindObservers(ObserverBus &bus, std::int32_t node,
+                      std::int16_t unit)
 {
-    trace_.sink = &sink;
-    trace_.node = node;
-    trace_.unit = unit;
-}
-
-void
-Router::bindFlow(FlowProbe &probe, std::int32_t node, std::int16_t unit)
-{
-    flow_.probe = &probe;
-    flow_.node = node;
-    flow_.unit = unit;
+    obs_ = ObsBinding{ &bus, node, unit };
 }
 
 void
@@ -178,7 +169,7 @@ Router::stageRc(Cycle now)
                     entry.out_vc = d.out_vc;
                     entry.routed = true;
                     entry.routed_at = now;
-                    tracePacketEvent(trace_, TraceUnitKind::Router,
+                    tracePacketEvent(obs_, TraceUnitKind::Router,
                                      TraceEventType::RouteComputed, now,
                                      entry.pkt->id, d.out_port, d.out_vc);
                 }
@@ -207,7 +198,7 @@ Router::stageVa(Cycle now)
                         >= entry.pkt->size_flits) {
                         entry.va_done = true;
                         entry.va_at = now;
-                        tracePacketEvent(trace_, TraceUnitKind::Router,
+                        tracePacketEvent(obs_, TraceUnitKind::Router,
                                          TraceEventType::VcAllocated, now,
                                          entry.pkt->id, entry.out_port,
                                          entry.out_vc);
@@ -291,7 +282,7 @@ Router::stageSa2(Cycle now)
                          .head();
         head.granted = true;
         head.granted_at = now;
-        tracePacketEvent(trace_, TraceUnitKind::Router,
+        tracePacketEvent(obs_, TraceUnitKind::Router,
                          TraceEventType::SwitchGrant, now, head.pkt->id,
                          static_cast<int>(o), head.out_vc);
         op.busy = true;
@@ -336,7 +327,7 @@ Router::stageSt(Cycle now)
             // Emit the hop span while the entry's pipeline timestamps
             // are still live (every cycle below is existing state - no
             // clock is read for the probe).
-            flowHopEvent(flow_, FlowUnitKind::Router, head.pkt->id,
+            flowHopEvent(obs_, FlowUnitKind::Router, head.pkt->id,
                          head.pkt->mcast_group, head.pkt->size_flits,
                          head.head_at, head.granted_at, now,
                          static_cast<int>(o), op.out_vc);

@@ -20,9 +20,8 @@
 #include "noc/packet.hpp"
 #include "power/energy.hpp"
 #include "sim/component.hpp"
-#include "sim/flow.hpp"
 #include "sim/metrics.hpp"
-#include "trace/trace.hpp"
+#include "sim/observer_bus.hpp"
 
 namespace anton2 {
 
@@ -97,18 +96,14 @@ class Router final : public Component
     void bindMetrics(MetricsRegistry &reg, const std::string &prefix);
 
     /**
-     * Start emitting packet lifecycle events (route-computed,
-     * VC-allocated, switch-grant) into @p sink, stamped with this
-     * router's coordinates (@p node, @p unit).
+     * Start emitting onto @p bus, stamped with this router's
+     * coordinates (@p node, @p unit): packet lifecycle events
+     * (route-computed, VC-allocated, switch-grant) while a trace sink
+     * is attached, and one hop span per packet (arrival, SA2 grant,
+     * switch-traversal departure) while a flow probe is attached.
      */
-    void bindTrace(TraceSink &sink, std::int32_t node, std::int16_t unit);
-
-    /**
-     * Start emitting one per-packet hop span (arrival, SA2 grant,
-     * switch-traversal departure) into @p probe, stamped with this
-     * router's coordinates.
-     */
-    void bindFlow(FlowProbe &probe, std::int32_t node, std::int16_t unit);
+    void bindObservers(ObserverBus &bus, std::int32_t node,
+                       std::int16_t unit);
 
     /**
      * Start classifying every connected output port's cycles into stall
@@ -212,8 +207,7 @@ class Router final : public Component
     std::vector<int> sa1_winner_;                    ///< vc per input, -1
     RouterEnergyMeter *energy_ = nullptr;
     std::unique_ptr<RouterMetrics> metrics_;
-    TraceBinding trace_;
-    FlowBinding flow_;
+    ObsBinding obs_;
     std::unique_ptr<RouterStallSampler> stalls_;
     std::uint32_t st_sent_mask_ = 0; ///< bit o: port o sent a flit this cycle
     std::uint64_t flits_routed_ = 0;

@@ -13,13 +13,10 @@
  * simulation already holds, so an attached probe takes zero additional
  * clock reads and a detached one costs a single pointer test per site.
  *
- * Determinism follows the trace-staging contract (trace/trace.hpp):
- * records emitted from an engine parallel lane are staged per-lane and
- * per-cycle-offset, and the serial replay drains each cycle's bucket in
- * lane order, reproducing the exact stream a serial window-1 run would
- * have produced. Every export (report JSON, matrix CSV, Chrome spans)
- * is therefore byte-identical across thread counts and lookahead
- * windows.
+ * Hop records travel the ObserverBus (sim/observer_bus.hpp), whose
+ * staging contract replays them in the exact order a serial window-1
+ * run produces, so every export (report JSON, matrix CSV, Chrome spans)
+ * is byte-identical across thread counts and lookahead windows.
  *
  * Aggregation happens at the canonical serial points:
  *  - apply() folds each hop's queue wait (grant - arrival) and transfer
@@ -52,12 +49,6 @@
 
 namespace anton2 {
 
-namespace par {
-// Declared in sim/thread_pool.hpp: the calling thread's lane index
-// during the engine's parallel phase, or -1 on the serial path.
-int currentLane();
-} // namespace par
-
 /** The kind of unit a flow hop was recorded at. */
 enum class FlowUnitKind : std::uint8_t
 {
@@ -87,7 +78,7 @@ struct FlowProbeConfig
 /**
  * One per-hop span record. Fixed-size and assembled entirely from
  * cycles the emitting unit already tracks; `cycle` is the departure
- * cycle and doubles as the staging key.
+ * cycle.
  */
 struct FlowHopRecord
 {
@@ -193,11 +184,10 @@ struct FlowUnitBlame
 };
 
 /**
- * The flow probe. One instance is shared by every component (bound via
- * FlowBinding, null until attached), exactly like TraceSink; record()
- * stages from parallel lanes and Machine::serialPhase drains the
- * current cycle's buckets before flushing deliveries, so every hop of
- * a packet is applied before the delivery that closes its flight.
+ * The flow probe: the ObserverBus's hop subscriber. The bus delivers
+ * each hop to apply() in canonical order, merging staged hops before
+ * Machine::serialPhase flushes deliveries, so every hop of a packet is
+ * applied before the delivery that closes its flight.
  */
 class FlowProbe
 {
@@ -211,29 +201,12 @@ class FlowProbe
     void registerUnit(std::int32_t node, FlowUnitKind kind, int unit,
                       std::string name);
 
-    /** Append one hop record (simulation hot path). */
-    void
-    record(const FlowHopRecord &r)
-    {
-        const int lane = par::currentLane();
-        if (lane >= 0) [[unlikely]] {
-            stage(lane, r);
-            return;
-        }
-        apply(r);
-    }
+    /** Fold one hop into its unit's blame counters and the packet's
+     * path log (serial, in canonical order; see ObserverBus). */
+    void apply(const FlowHopRecord &r);
 
     /** Close a packet's flight into its flow cell (serial flush only). */
     void recordDelivery(const FlowDeliveryRecord &d);
-
-    /** Size the per-lane staging buffers; same contract as
-     * TraceSink::configureLanes (call with Engine::laneCount() and the
-     * largest lookahead window whenever either changes). */
-    void configureLanes(std::size_t lanes, std::size_t window_depth = 1);
-
-    /** Apply cycle @p cycle's staged hop records in lane order (serial
-     * replay only). A no-op when nothing is staged. */
-    void mergeStaged(Cycle cycle);
 
     /** Registered unit name, or "?" when unbound. */
     const std::string &unitName(std::int64_t node, FlowUnitKind kind,
@@ -274,16 +247,9 @@ class FlowProbe
     std::uint64_t deliveries() const { return deliveries_; }
 
   private:
-    void stage(int lane, const FlowHopRecord &r);
-    void apply(const FlowHopRecord &r);
     bool keepPaths(std::uint64_t packet) const;
 
     FlowProbeConfig cfg_;
-    std::size_t depth_ = 1; ///< staging buckets per lane (window size)
-    /** One bucket per (lane, cycle % depth_); a bucket is only touched
-     * by its lane's thread during the parallel phase and drained by the
-     * serial replay between windows. */
-    std::vector<std::vector<std::vector<FlowHopRecord>>> staged_;
 
     std::map<FlowKey, FlowCell> cells_;
     std::map<FlowUnitKey, FlowUnitBlame> blame_;
@@ -294,39 +260,5 @@ class FlowProbe
     std::uint64_t dropped_spans_ = 0;
     std::uint64_t deliveries_ = 0;
 };
-
-/**
- * A component's binding to the probe plus its coordinates. Components
- * hold one (probe null until bound) and emit through flowHopEvent(),
- * which folds the null test, the multicast filter, and the record
- * assembly into one inlined call site.
- */
-struct FlowBinding
-{
-    FlowProbe *probe = nullptr;
-    std::int32_t node = -1;
-    std::int16_t unit = -1;
-};
-
-inline void
-flowHopEvent(const FlowBinding &fb, FlowUnitKind kind,
-             std::uint64_t packet, int mcast_group, int size_flits,
-             Cycle arrival, Cycle grant, Cycle depart, int port, int vc)
-{
-    if (fb.probe == nullptr || mcast_group >= 0)
-        return;
-    FlowHopRecord r;
-    r.cycle = depart;
-    r.arrival = arrival;
-    r.grant = grant;
-    r.packet = packet;
-    r.node = fb.node;
-    r.unit = fb.unit;
-    r.port = static_cast<std::int16_t>(port);
-    r.size_flits = static_cast<std::int16_t>(size_flits);
-    r.kind = kind;
-    r.vc = static_cast<std::uint8_t>(vc);
-    fb.probe->record(r);
-}
 
 } // namespace anton2

@@ -30,7 +30,6 @@ hostCompClassName(HostCompClass c)
       case HostCompClass::Router: return "router";
       case HostCompClass::ChannelAdapter: return "channel_adapter";
       case HostCompClass::Endpoint: return "endpoint";
-      case HostCompClass::LinkLayer: return "link_layer";
       case HostCompClass::Other: return "other";
     }
     return "other";

@@ -51,21 +51,19 @@ namespace anton2 {
 /**
  * Component classes for the sampled attribution pass. Shard registrars
  * tag each component at registration (Chip::registerWith knows the
- * concrete types); untagged components fall into Other. LinkLayer is
- * reserved for LinkSender/LinkReceiver assemblies (the reliable-link
- * example); the Machine's torus links live inside ChannelAdapter, so a
- * Machine run attributes them there.
+ * concrete types); untagged components fall into Other. The Machine's
+ * torus links live inside ChannelAdapter, so a Machine run attributes
+ * them there.
  */
 enum class HostCompClass : std::uint8_t
 {
     Router = 0,
     ChannelAdapter,
     Endpoint,
-    LinkLayer,
     Other,
 };
 
-inline constexpr std::size_t kNumHostCompClasses = 5;
+inline constexpr std::size_t kNumHostCompClasses = 4;
 
 /** Stable lower-case name used in gauge keys and JSON. */
 const char *hostCompClassName(HostCompClass c);

@@ -28,15 +28,15 @@ namespace par {
 /**
  * Lane index of the calling thread while it is inside a parallel phase,
  * or -1 on the serial path (any thread outside CycleWorkerPool::run).
- * Instrumentation sinks shared across lanes (trace staging) key their
- * per-lane buffers off this.
+ * The observer bus, shared across lanes, keys its per-lane staging
+ * buffers off this.
  */
 int currentLane();
 
 /**
  * RAII marker turning the calling thread into lane @p lane for its
  * lifetime. The engine uses it to run a serial (pool-less) lookahead
- * window "as lane 0", so trace staging takes the same per-cycle
+ * window "as lane 0", so observer staging takes the same per-cycle
  * bucketing path serially and threaded - that shared path is what keeps
  * a windowed serial run byte-identical to a windowed threaded one.
  */

@@ -6,13 +6,13 @@
  *
  * The aggregate counters answer "how much"; this layer answers "why a
  * flit waited". Components emit fixed-size binary TraceEvent records
- * into a TraceSink at the points a packet changes state (injection,
- * route computation, VC allocation, switch grant, link traversal,
- * retransmission, ejection), carrying the cycle, the emitting unit's
- * coordinates (chip / unit kind / unit / port / VC), and the packet id.
- * The same null-check discipline as MetricsRegistry applies: an unbound
- * component pays one pointer test per would-be record site, so the
- * tracing build is the normal build.
+ * through the ObserverBus (sim/observer_bus.hpp) at the points a packet
+ * changes state (injection, route computation, VC allocation, switch
+ * grant, link traversal, ejection), carrying the cycle, the emitting
+ * unit's coordinates (chip / unit kind / unit / port / VC), and the
+ * packet id. The same null-check discipline as MetricsRegistry applies:
+ * an unbound component pays one pointer test per would-be record site,
+ * so the tracing build is the normal build.
  *
  * Recording is decoupled from interpretation: RingTraceSink stores raw
  * records in a bounded ring (overwriting the oldest on overflow, never
@@ -35,12 +35,6 @@
 
 namespace anton2 {
 
-namespace par {
-// Declared in sim/thread_pool.hpp: the calling thread's lane index
-// during the engine's parallel phase, or -1 on the serial path.
-int currentLane();
-} // namespace par
-
 /** Packet lifecycle states recorded by the tracing layer. */
 enum class TraceEventType : std::uint8_t
 {
@@ -49,7 +43,7 @@ enum class TraceEventType : std::uint8_t
     VcAllocated,      ///< VA stage reserved downstream VC credits
     SwitchGrant,      ///< SA2 granted the crossbar output port
     LinkTraverse,     ///< head flit serialized onto an external torus link
-    Retransmit,       ///< link-layer go-back-N resend (no packet identity)
+    Retransmit,       ///< go-back-N resend (schema slot; nothing emits it)
     Eject,            ///< full packet reassembled at a destination endpoint
 };
 inline constexpr int kNumTraceEventTypes = 7;
@@ -80,59 +74,24 @@ struct TraceEvent
 };
 
 /**
- * Destination for trace records. Components hold a `TraceSink *` that is
- * null until bound; the sampling filter lives here so every emit site
- * shares one policy (record packets whose id falls on the sample
- * stride; packet-less records always pass).
+ * Bounded in-memory trace recorder: a preallocated ring that overwrites
+ * the oldest record when full. Overflow is counted, never silent - the
+ * exporters surface `dropped()` so a truncated trace reads as truncated.
+ * The sampling filter lives here so every emit site shares one policy
+ * (record packets whose id falls on the sample stride; packet-less
+ * records always pass).
  *
- * Threaded and windowed runs: one sink is shared by every component, so
- * when the engine ticks shards on several lanes (or one lane several
- * cycles between barriers), record() routes each event into a per-lane,
- * per-cycle-offset staging bucket instead of the underlying store. The
- * engine's serial replay calls mergeStaged(cycle) once per simulated
- * cycle, which drains that cycle's bucket of every lane in lane order -
- * reproducing the exact (cycle-major, registration-order) stream a
- * serial window-1 run would have written, so trace exports are
- * byte-identical at any thread count. Truly serial paths (lane -1,
- * outside any engine parallel phase) bypass staging entirely.
+ * Components never call record() directly: they emit through the
+ * ObserverBus (sim/observer_bus.hpp), which owns the per-lane staging
+ * that keeps threaded and windowed traces byte-identical to serial.
  */
-class TraceSink
+class RingTraceSink
 {
   public:
-    virtual ~TraceSink() = default;
+    explicit RingTraceSink(std::size_t capacity);
 
-    /** Append one record (called on the simulation hot path). */
-    void
-    record(const TraceEvent &ev)
-    {
-        const int lane = par::currentLane();
-        if (lane >= 0) [[unlikely]] {
-            stage(lane, ev);
-            return;
-        }
-        doRecord(ev);
-    }
-
-    /**
-     * Size the per-lane staging buffers for a threaded or windowed run
-     * (call with Engine::laneCount() whenever the thread count changes).
-     * @p window_depth is the largest lookahead window the engine may
-     * run: each lane gets one bucket per cycle offset, indexed by
-     * event.cycle modulo the depth (distinct within any one window). A
-     * sink recording from a lane it was not configured for is a logic
-     * error. Existing staged events are preserved only when drained
-     * first; reconfigure between windows.
-     */
-    void configureLanes(std::size_t lanes, std::size_t window_depth = 1);
-
-    /** Replay cycle @p cycle's staged events into the store in lane
-     * order (serial replay only). A no-op when nothing is staged. */
-    void mergeStaged(Cycle cycle);
-
-    /** Replay every staged event into the store in lane order,
-     * bucket-major. Only order-exact when at most one cycle is staged
-     * per lane (the window-1 legacy schedule); prefer mergeStaged(). */
-    void mergeStagedLanes();
+    /** Append one record to the ring. */
+    void record(const TraceEvent &ev);
 
     /** True if lifecycle events for @p packet_id should be recorded. */
     bool
@@ -144,31 +103,6 @@ class TraceSink
     /** Record every Nth packet (1 = every packet). */
     void setSampleStride(std::uint64_t n) { sample_ = n < 1 ? 1 : n; }
     std::uint64_t sampleStride() const { return sample_; }
-
-  protected:
-    /** Append one record to the underlying store. */
-    virtual void doRecord(const TraceEvent &ev) = 0;
-
-  private:
-    void stage(int lane, const TraceEvent &ev);
-
-    std::uint64_t sample_ = 1;
-    std::size_t depth_ = 1; ///< buckets per lane (max window size)
-    /** One bucket per (lane, cycle % depth_); a bucket is only touched
-     * by its lane's thread during the parallel phase and drained by the
-     * serial replay between windows. */
-    std::vector<std::vector<std::vector<TraceEvent>>> staged_;
-};
-
-/**
- * Bounded in-memory recorder: a preallocated ring that overwrites the
- * oldest record when full. Overflow is counted, never silent - the
- * exporters surface `dropped()` so a truncated trace reads as truncated.
- */
-class RingTraceSink : public TraceSink
-{
-  public:
-    explicit RingTraceSink(std::size_t capacity);
 
     /** Records in chronological order (oldest surviving first). */
     std::vector<TraceEvent> drain() const;
@@ -184,46 +118,12 @@ class RingTraceSink : public TraceSink
     /** Forget every record (capacity and sampling are kept). */
     void clear();
 
-  protected:
-    void doRecord(const TraceEvent &ev) override;
-
   private:
     std::vector<TraceEvent> ring_;
     std::size_t next_ = 0;       ///< ring slot the next record lands in
     std::uint64_t recorded_ = 0;
+    std::uint64_t sample_ = 1;
 };
-
-/**
- * A component's binding to a sink plus its coordinates. Components hold
- * one of these (sink null until bound) and emit through
- * tracePacketEvent(), which folds the null test, the sampling filter,
- * and the record assembly into one inlined call site.
- */
-struct TraceBinding
-{
-    TraceSink *sink = nullptr;
-    std::int32_t node = -1;
-    std::int16_t unit = -1;
-};
-
-inline void
-tracePacketEvent(const TraceBinding &tb, TraceUnitKind kind,
-                 TraceEventType type, Cycle now, std::uint64_t packet,
-                 int port, int vc)
-{
-    if (tb.sink == nullptr || !tb.sink->accepts(packet))
-        return;
-    TraceEvent ev;
-    ev.cycle = now;
-    ev.packet = packet;
-    ev.node = tb.node;
-    ev.unit = tb.unit;
-    ev.port = static_cast<std::int16_t>(port);
-    ev.unit_kind = kind;
-    ev.type = type;
-    ev.vc = static_cast<std::uint8_t>(vc);
-    tb.sink->record(ev);
-}
 
 // ---------------------------------------------------------------------
 // Stall attribution

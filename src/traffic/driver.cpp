@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "debug/checkpoint.hpp"
 
@@ -10,6 +12,16 @@ namespace anton2 {
 std::vector<EndpointAddr>
 makeCoreList(const Machine &m, const std::vector<EndpointId> &eps)
 {
+    if (eps.empty())
+        throw std::invalid_argument("empty core list");
+    const int per_node = m.layout().numEndpoints();
+    for (EndpointId e : eps) {
+        if (e < 0 || e >= per_node) {
+            throw std::invalid_argument(
+                "core " + std::to_string(e) + " outside [0, "
+                + std::to_string(per_node) + ") endpoints per node");
+        }
+    }
     std::vector<EndpointAddr> cores;
     for (NodeId n = 0; n < m.geom().numNodes(); ++n) {
         for (EndpointId e : eps)

@@ -42,7 +42,8 @@ class BatchDriver : public Component
     };
 
     /** Registers the driver's progress state as a machine checkpoint
-     * client, so a warm-start image carries the batch mid-flight. */
+     * client, so a warm-start image carries the batch mid-flight.
+     * @throws std::invalid_argument on an invalid core list. */
     BatchDriver(Machine &machine, Config cfg);
     ~BatchDriver() override;
 
@@ -109,6 +110,7 @@ class OpenLoopDriver : public Component
         std::size_t max_queue = 16; ///< drop offers beyond this backlog
     };
 
+    /** @throws std::invalid_argument on an invalid core list. */
     OpenLoopDriver(Machine &machine, Config cfg);
 
     void tick(Cycle now) override;
@@ -125,7 +127,12 @@ class OpenLoopDriver : public Component
     std::uint64_t offered_ = 0;
 };
 
-/** All (node, endpoint) core addresses for a participating-endpoint list. */
+/**
+ * All (node, endpoint) core addresses for a participating-endpoint list.
+ * @throws std::invalid_argument if @p eps is empty or names an endpoint
+ *         outside [0, endpoints per node) - so the drivers, which build
+ *         their core lists here, reject such a configuration too.
+ */
 std::vector<EndpointAddr> makeCoreList(const Machine &m,
                                        const std::vector<EndpointId> &eps);
 

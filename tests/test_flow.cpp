@@ -94,8 +94,8 @@ TEST(FlowExports, ByteIdenticalAcrossThreadsAndWindows)
     ASSERT_FALSE(base.flows_json.empty());
     ASSERT_FALSE(base.csv.empty());
     for (const Cycle lookahead : { Cycle{ 1 }, Cycle{ 0 } }) {
-        // The run report's elapsed-cycles gauge depends on where
-        // runUntilDelivered stops (a window boundary under lookahead),
+        // The run report's elapsed-cycles gauge depends on where the
+        // delivery run stops (a window boundary under lookahead),
         // so the *full* report is only compared across thread counts at
         // a fixed window; the flow exports must match everywhere.
         const auto window_base = runFlows(71, 1, lookahead);
@@ -446,6 +446,81 @@ TEST(LatencyHistogram, WorstPathOnLargeTorusLandsInRealBins)
     const auto bin = static_cast<std::size_t>(lat / h->binWidth());
     ASSERT_LT(bin, counts.size() - 1);
     EXPECT_EQ(counts[bin], 1u);
+}
+
+// ---------------------------------------------------------------------
+// Both observer-bus subscribers attached together
+// ---------------------------------------------------------------------
+
+/**
+ * Trace and flows on one machine, so trace events and hop records share
+ * the bus's staging buckets. A fixed cycle budget (not a stop
+ * condition) ends every schedule on the same cycle, so the Chrome
+ * trace's end cycle and stall totals are comparable across windows.
+ */
+struct TraceFlowRun
+{
+    std::string chrome; ///< Machine::traceChromeJson (with flow spans)
+    std::string csv;    ///< flow-matrix CSV
+};
+
+TraceFlowRun
+runTraceAndFlows(int threads, Cycle lookahead)
+{
+    MachineConfig cfg;
+    cfg.radix = { 2, 2, 2 };
+    cfg.chip.endpoints_per_node = 4;
+    cfg.use_packaging = false;
+    cfg.fixed_torus_latency = 12;
+    cfg.seed = 71;
+    Machine m(cfg);
+    m.setThreads(threads);
+    m.setLookahead(lookahead);
+    Instrumentation inst;
+    TraceConfig tc;
+    tc.capacity = std::size_t{ 1 } << 14;
+    inst.trace = tc;
+    FlowProbeConfig fc;
+    fc.sample = 4;
+    inst.flows = fc;
+    m.attachInstrumentation(inst);
+
+    Rng traffic(71 * 1315423911ULL + 1);
+    const auto nodes = static_cast<std::uint64_t>(m.geom().numNodes());
+    std::uint64_t sent = 0;
+    for (std::uint64_t i = 0; i < kPackets; ++i) {
+        const EndpointAddr src{ static_cast<NodeId>(traffic.below(nodes)),
+                                static_cast<int>(traffic.below(4)) };
+        const EndpointAddr dst{ static_cast<NodeId>(traffic.below(nodes)),
+                                static_cast<int>(traffic.below(4)) };
+        if (src.node == dst.node)
+            continue;
+        m.send(m.makeWrite(src, dst, 0,
+                           1 + static_cast<int>(traffic.below(2))));
+        ++sent;
+    }
+    m.run(RunSpec::forCycles(4000));
+    EXPECT_EQ(m.totalDelivered(), sent);
+    EXPECT_EQ(m.trace()->dropped(), 0u);
+    return { m.traceChromeJson(), m.flowMatrixCsv() };
+}
+
+TEST(ObserverBus, TraceAndFlowsTogetherByteIdenticalAcrossThreadsAndWindows)
+{
+    const auto base = runTraceAndFlows(1, 1);
+    ASSERT_NE(base.chrome.find("\"traceEvents\""), std::string::npos);
+    ASSERT_NE(base.chrome.find("\"queue_cycles\""), std::string::npos)
+        << "sampled flow spans must ride in the Chrome trace";
+    ASSERT_FALSE(base.csv.empty());
+    for (const Cycle lookahead : { Cycle{ 1 }, Cycle{ 0 } }) {
+        for (const int threads : { 1, 2, 4 }) {
+            const auto run = runTraceAndFlows(threads, lookahead);
+            EXPECT_EQ(run.chrome, base.chrome)
+                << "threads=" << threads << " lookahead=" << lookahead;
+            EXPECT_EQ(run.csv, base.csv)
+                << "threads=" << threads << " lookahead=" << lookahead;
+        }
+    }
 }
 
 } // namespace

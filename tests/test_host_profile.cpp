@@ -285,7 +285,6 @@ TEST(EngineProfiler, GaugeSchemaAndHostJsonRoundTrip)
              "machine.host.engine.class.router_seconds",
              "machine.host.engine.class.channel_adapter_seconds",
              "machine.host.engine.class.endpoint_seconds",
-             "machine.host.engine.class.link_layer_seconds",
              "machine.host.engine.class.other_seconds",
              "machine.host.engine.lane.0.tick_seconds",
              "machine.host.engine.lane.0.wait_seconds",
@@ -553,6 +552,19 @@ TEST(BenchFlagValidation, TopkMustBePositive)
     testing::internal::CaptureStderr();
     EXPECT_FALSE(ro.validate());
     testing::internal::GetCapturedStderr();
+}
+
+TEST(BenchFlagValidation, CoresMustFitTheChip)
+{
+    EXPECT_TRUE(bench::validateCores(1, 8));
+    EXPECT_TRUE(bench::validateCores(8, 8));
+    for (const long cores : { 0L, 9L, 100L }) {
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(bench::validateCores(cores, 8)) << cores;
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                      "error: --cores must be in [1, 8]"),
+                  std::string::npos);
+    }
 }
 
 TEST(BenchFlagValidation, HostProfileSampleMustBePositive)

@@ -11,9 +11,9 @@
  *  - the engine-level windowed schedule: shard ticks before the serial
  *    replay, barrier alignment truncation, idle-shard parking with
  *    onIdleSkip() replay;
- *  - staged cross-shard side effects (trace lanes, deferred deliveries)
- *    replay in canonical per-cycle order, proven by byte-identical
- *    exports across thread counts at any fixed window;
+ *  - staged cross-shard side effects (observer-bus lanes, deferred
+ *    deliveries) replay in canonical per-cycle order, proven by
+ *    byte-identical exports across thread counts at any fixed window;
  *  - feedback-free workloads (pre-injected traffic, no driver/handler
  *    chains) are byte-identical across *windows* too, because the only
  *    window-observable effect is serial-to-shard feedback timing;
@@ -34,9 +34,9 @@
 #include "core/machine.hpp"
 #include "routing/route.hpp"
 #include "sim/engine.hpp"
+#include "sim/observer_bus.hpp"
 #include "sim/rng.hpp"
 #include "sim/thread_pool.hpp"
-#include "trace/trace.hpp"
 #include "traffic/driver.hpp"
 #include "traffic/patterns.hpp"
 
@@ -216,43 +216,49 @@ TEST(LookaheadEngine, ParkingIsDisabledAtWindowOne)
 }
 
 // ---------------------------------------------------------------------
-// Staged trace replay
+// Staged observer-bus replay
 // ---------------------------------------------------------------------
-
-TraceEvent
-makeEvent(std::uint64_t packet, Cycle cycle)
-{
-    TraceEvent ev;
-    ev.cycle = cycle;
-    ev.packet = packet;
-    ev.node = 0;
-    ev.unit = 0;
-    ev.type = TraceEventType::Inject;
-    return ev;
-}
 
 TEST(LookaheadTrace, StagedEventsMergeInCanonicalPerCycleOrder)
 {
     RingTraceSink sink(64);
-    sink.configureLanes(2, /*window_depth=*/4);
+    FlowProbeConfig fcfg;
+    fcfg.sample = 1; // keep every packet's hop path
+    FlowProbe probe(fcfg);
+    ObserverBus bus;
+    bus.attachTrace(sink);
+    bus.attachFlows(probe);
+    bus.configure(2, /*depth=*/4);
+    const ObsBinding ob{ &bus, 0, 0 };
+
+    // Each trace event shares its bucket with a hop record, so the merge
+    // has to pick the two streams apart without reordering either.
+    auto emit = [&](std::uint64_t packet, Cycle cycle) {
+        tracePacketEvent(ob, TraceUnitKind::Endpoint,
+                         TraceEventType::Inject, cycle, packet, -1, 0);
+        flowHopEvent(ob, FlowUnitKind::Router, /*packet=*/30,
+                     /*mcast_group=*/-1, /*size_flits=*/1, cycle, cycle,
+                     cycle, static_cast<int>(packet), 0);
+    };
 
     // Shard-major recording order (what a windowed worker produces):
     // lane 1 first, and within it cycle 1 before cycle 0.
     {
         par::LaneScope lane(1);
-        sink.record(makeEvent(21, 1));
-        sink.record(makeEvent(20, 0));
+        emit(21, 1);
+        emit(20, 0);
     }
     {
         par::LaneScope lane(0);
-        sink.record(makeEvent(10, 0));
-        sink.record(makeEvent(11, 1));
+        emit(10, 0);
+        emit(11, 1);
     }
     EXPECT_EQ(sink.size(), 0u) << "events must stage, not publish";
+    EXPECT_TRUE(probe.blame().empty()) << "hops must stage, not apply";
 
     // The serial replay drains one cycle at a time, lanes in order.
-    sink.mergeStaged(0);
-    sink.mergeStaged(1);
+    bus.merge(0);
+    bus.merge(1);
     const auto events = sink.drain();
     ASSERT_EQ(events.size(), 4u);
     EXPECT_EQ(events[0].packet, 10u);
@@ -261,6 +267,20 @@ TEST(LookaheadTrace, StagedEventsMergeInCanonicalPerCycleOrder)
     EXPECT_EQ(events[3].packet, 21u);
     for (std::size_t i = 1; i < events.size(); ++i)
         EXPECT_GE(events[i].cycle, events[i - 1].cycle);
+
+    // The hop stream merged in the same canonical order (each hop's
+    // port carries its trace twin's packet id).
+    FlowDeliveryRecord d;
+    d.packet = 30;
+    d.delivered = 2;
+    probe.recordDelivery(d);
+    ASSERT_EQ(probe.sampledSpans().size(), 1u);
+    const auto &path = probe.sampledSpans()[0].path;
+    ASSERT_EQ(path.size(), 4u);
+    EXPECT_EQ(path[0].port, 10);
+    EXPECT_EQ(path[1].port, 20);
+    EXPECT_EQ(path[2].port, 11);
+    EXPECT_EQ(path[3].port, 21);
 }
 
 // ---------------------------------------------------------------------
@@ -437,7 +457,7 @@ runFig9Style(int threads, Cycle lookahead)
 
     EXPECT_TRUE(driver.run(1000000))
         << "threads=" << threads << " lookahead=" << lookahead;
-    EXPECT_TRUE(m.runUntilQuiescent(100000))
+    EXPECT_TRUE(m.run(RunSpec::untilQuiescent(100000)).ok())
         << "threads=" << threads << " lookahead=" << lookahead;
     return captureExports(m);
 }

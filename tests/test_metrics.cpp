@@ -213,7 +213,7 @@ drive(Machine &m, int count, std::uint64_t route_seed)
         pkt->vc = VcState(m.config().chip.vc_policy);
         m.chip(a).setExit(*pkt, nextRouteDim(m.geom(), a, b, pkt->route));
         m.send(pkt);
-        ASSERT_TRUE(m.runUntilQuiescent(100000));
+        ASSERT_TRUE(m.run(RunSpec::untilQuiescent(100000)).ok());
     }
 }
 

@@ -108,7 +108,7 @@ TEST(Engine, RunUntilStrideChecksAtIntervalWithFinalExactCheck)
 {
     // With check_every = 8 a predicate that turns true at cycle 5 is
     // noticed at the next check (cycle 8) - legal for monotone
-    // predicates, and the documented trade of runUntilQuiescent.
+    // predicates, and the documented trade of quiescence runs.
     Engine e;
     TickCounter c;
     e.add(c);
@@ -222,7 +222,8 @@ runFig9Style(int threads)
     m.engine().add(driver);
 
     EXPECT_TRUE(driver.run(1000000)) << "threads=" << threads;
-    EXPECT_TRUE(m.runUntilQuiescent(100000)) << "threads=" << threads;
+    EXPECT_TRUE(m.run(RunSpec::untilQuiescent(100000)).ok())
+        << "threads=" << threads;
     return captureExports(m);
 }
 
@@ -278,7 +279,8 @@ runFig11Style(int threads)
         << "threads=" << threads;
     m.endpoint(a).setHandlerFn(nullptr);
     m.endpoint(b).setHandlerFn(nullptr);
-    EXPECT_TRUE(m.runUntilQuiescent(100000)) << "threads=" << threads;
+    EXPECT_TRUE(m.run(RunSpec::untilQuiescent(100000)).ok())
+        << "threads=" << threads;
     return captureExports(m);
 }
 
@@ -402,7 +404,7 @@ runSegmented(bool reconfigure)
     if (reconfigure)
         m.setThreads(1);
     EXPECT_TRUE(driver.run(1000000));
-    EXPECT_TRUE(m.runUntilQuiescent(100000));
+    EXPECT_TRUE(m.run(RunSpec::untilQuiescent(100000)).ok());
     return captureExports(m);
 }
 
@@ -466,7 +468,7 @@ TEST(ThreadedDeterminism, IncrementalAttachMatchesBundledAttach)
         BatchDriver driver(m, dcfg);
         m.engine().add(driver);
         EXPECT_TRUE(driver.run(1000000));
-        EXPECT_TRUE(m.runUntilQuiescent(100000));
+        EXPECT_TRUE(m.run(RunSpec::untilQuiescent(100000)).ok());
     };
     drive(bundled);
     drive(legacy);

@@ -178,7 +178,7 @@ TEST(Property, RequestAndReplyClassesDoNotBlockEachOther)
     });
     for (int i = 0; i < 20; ++i)
         m.send(m.makeRead({ 0, 2 }, { m.geom().id({ 2, 2, 2 }), 3 }));
-    ASSERT_TRUE(m.runUntilQuiescent(2000000));
+    ASSERT_TRUE(m.run(RunSpec::untilQuiescent(2000000)).ok());
     EXPECT_EQ(replies, 20);
 }
 
@@ -214,7 +214,7 @@ TEST(Property, MachineSurvivesHeavyMulticastContention)
         expected += uniq;
         m.sendMulticast({ n, 0 }, group);
     }
-    ASSERT_TRUE(m.runUntilQuiescent(2000000));
+    ASSERT_TRUE(m.run(RunSpec::untilQuiescent(2000000)).ok());
     EXPECT_EQ(m.totalDelivered(), expected);
 }
 

@@ -95,7 +95,7 @@ runAtLevel(MetricsLevel level, int threads = 1, Cycle lookahead = 1)
     inst.metrics_level = level;
     m->attachInstrumentation(inst);
     injectTraffic(*m);
-    m->run(2048);
+    m->run(RunSpec::forCycles(2048));
     EXPECT_GT(m->totalDelivered(), 0u);
     return m;
 }
@@ -343,7 +343,7 @@ TEST(HotspotDigestSuite, SortedBoundedConservativeLevelIndependent)
     {
         Machine bare(baseConfig(MetricsLevel::Full));
         injectTraffic(bare);
-        bare.run(2048);
+        bare.run(RunSpec::forCycles(2048));
         EXPECT_EQ(hotspotDigestJson(bare.hotspotDigest(5)), ref)
             << "digest must not depend on metrics being enabled";
     }

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "core/machine.hpp"
 #include "traffic/driver.hpp"
@@ -214,6 +215,25 @@ TEST(CoreList, EnumeratesNodeEndpointPairs)
     EXPECT_EQ(cores[0].ep, 0);
     EXPECT_EQ(cores[1].ep, 2);
     EXPECT_EQ(firstEndpoints(3), (std::vector<EndpointId>{ 0, 1, 2 }));
+}
+
+TEST(CoreList, RejectsEmptyListsAndEndpointsOutsideTheChip)
+{
+    Machine m(driverConfig()); // 4 endpoints per node
+    EXPECT_THROW(makeCoreList(m, {}), std::invalid_argument);
+    EXPECT_THROW(makeCoreList(m, { 0, 4 }), std::invalid_argument);
+    EXPECT_THROW(makeCoreList(m, { -1 }), std::invalid_argument);
+    EXPECT_EQ(makeCoreList(m, firstEndpoints(4)).size(), 256u);
+
+    // The drivers build their core lists there, so they reject too.
+    UniformPattern pat(m.geom());
+    BatchDriver::Config bcfg;
+    bcfg.cores = firstEndpoints(100);
+    bcfg.pattern = &pat;
+    EXPECT_THROW((BatchDriver{ m, bcfg }), std::invalid_argument);
+    OpenLoopDriver::Config ocfg;
+    ocfg.pattern = &pat;
+    EXPECT_THROW((OpenLoopDriver{ m, ocfg }), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
