@@ -181,7 +181,8 @@ main(int argc, char **argv)
         return 1;
     }
     if (!host_profile.validate() || !report.validate()
-        || !bench::validateCores(cores, kEndpointsPerNode))
+        || !bench::validateCores(cores, kEndpointsPerNode)
+        || !bench::validateShape(kx, ky, kz, "--batch", batch_flag))
         return 1;
     const std::vector<int> radix{ static_cast<int>(kx),
                                   static_cast<int>(ky),

@@ -173,7 +173,8 @@ main(int argc, char **argv)
     if (!reg.parse(argc, argv))
         return 1;
     if (!run.validate() || !bench::validateOutputPaths({ json_path })
-        || !bench::validateCores(cores, kEndpointsPerNode))
+        || !bench::validateCores(cores, kEndpointsPerNode)
+        || !bench::validateShape(kx, ky, kz, "--maxbatch", maxbatch))
         return 1;
     const std::vector<int> radix{ static_cast<int>(kx),
                                   static_cast<int>(ky),

@@ -135,6 +135,32 @@ validateCores(long cores, int endpoints_per_node)
     return false;
 }
 
+/**
+ * Reject a torus or batch the Machine-driving benches cannot run: every
+ * radix must be >= 1 with at least two nodes in total (a lone node has
+ * no torus traffic to measure), and the per-core batch flag
+ * @p batch_flag (`--maxbatch`, `--batch`) must be >= 1. Prints the
+ * first violation.
+ */
+inline bool
+validateShape(long kx, long ky, long kz, const char *batch_flag,
+              long batch)
+{
+    if (kx < 1 || ky < 1 || kz < 1 || (kx == 1 && ky == 1 && kz == 1)) {
+        std::fprintf(stderr,
+                     "error: --kx/--ky/--kz must each be >= 1 and give at "
+                     "least 2 nodes, got %ldx%ldx%ld\n",
+                     kx, ky, kz);
+        return false;
+    }
+    if (batch < 1) {
+        std::fprintf(stderr, "error: %s must be >= 1, got %ld\n",
+                     batch_flag, batch);
+        return false;
+    }
+    return true;
+}
+
 inline void
 writeFile(const std::string &path, const std::string &content)
 {

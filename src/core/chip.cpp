@@ -4,13 +4,12 @@
 #include <cassert>
 
 #include "debug/checkpoint.hpp"
-#include "routing/mesh_route.hpp"
 
 namespace anton2 {
 
 Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
-           const TorusGeom &geom)
-    : node_(node), cfg_(cfg), layout_(layout), geom_(geom)
+           const ChipRouteTable &routes, const TorusGeom &geom)
+    : node_(node), cfg_(cfg), layout_(layout), routes_(routes), geom_(geom)
 {
     std::string prefix = "n";
     prefix += std::to_string(node);
@@ -40,10 +39,15 @@ Chip::Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
     ccfg.arb = cfg_.arb;
     ccfg.weight_bits = cfg_.weight_bits;
 
+    const Coords coords = geom_.coords(node_);
     for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
         int dim, slice;
         Dir dir;
         layout_.channelAdapterParams(ca, dim, dir, slice);
+        const int from = coords[static_cast<std::size_t>(dim)];
+        if (geom_.crossesDateline(from, geom_.neighborCoord(from, dim, dir),
+                                  dim))
+            dateline_mask_ |= 1u << ca;
         const std::string name = prefix + "C" + std::string(1, kDimNames[dim])
                                  + std::to_string(slice) + dirName(dir);
         channel_adapters_.push_back(std::make_unique<ChannelAdapter>(
@@ -261,44 +265,14 @@ Chip::setExit(Packet &pkt, int next_dim) const
 }
 
 RouteDecision
-Chip::routeAt(RouterId r, Packet &pkt) const
+Chip::routeAt(RouterId r, const Packet &pkt) const
 {
-    const RouterId r_out = layout_.attachRouter(pkt.chip_exit);
+    const ChipRouteTable::Entry &e =
+        routes_.at(r, pkt.chip_exit, pkt.x_through);
     RouteDecision d;
-
-    if (pkt.x_through && r != r_out) {
-        // X through-route: cross the chip on the skip channel (T-group).
-        d.out_port = layout_.skipPort(r);
-        d.out_vc = static_cast<std::uint8_t>(
-            fullVc(pkt.tc, pkt.vc.torusVc()));
-        return d;
-    }
-
-    if (r == r_out) {
-        // Exit the mesh here.
-        if (pkt.chip_exit.kind == AttachPoint::Kind::Endpoint) {
-            d.out_port = layout_.endpointPort(r, pkt.chip_exit.endpoint);
-            d.out_vc = static_cast<std::uint8_t>(
-                fullVc(pkt.tc, pkt.vc.meshVc()));
-        } else {
-            d.out_port = layout_.channelPort(
-                r, layout_.channelAdapterIndex(pkt.chip_exit.dim,
-                                               pkt.chip_exit.dir,
-                                               pkt.chip_exit.slice));
-            d.out_vc = static_cast<std::uint8_t>(
-                fullVc(pkt.tc, pkt.vc.torusVc()));
-        }
-        return d;
-    }
-
-    // Local route: next mesh hop under direction-order routing (M-group).
-    MeshDir dir;
-    const bool more = meshNextDir(layout_.mesh(), r, r_out, cfg_.dir_order,
-                                  dir);
-    assert(more);
-    (void)more;
-    d.out_port = layout_.meshPort(r, dir);
-    d.out_vc = static_cast<std::uint8_t>(fullVc(pkt.tc, pkt.vc.meshVc()));
+    d.out_port = e.port;
+    d.out_vc = static_cast<std::uint8_t>(
+        fullVc(pkt.tc, e.torus_vc ? pkt.vc.torusVc() : pkt.vc.meshVc()));
     return d;
 }
 
@@ -359,21 +333,7 @@ Chip::ingressAt(int ca, const PacketPtr &pkt)
 std::uint8_t
 Chip::egressVcAt(int ca, Packet &pkt, bool commit) const
 {
-    int dim, slice;
-    Dir dir;
-    layout_.channelAdapterParams(ca, dim, dir, slice);
-    (void)slice;
-
-    const Coords c = geom_.coords(node_);
-    const int from = c[static_cast<std::size_t>(dim)];
-    const int to = geom_.neighborCoord(from, dim, dir);
-    bool crossing = geom_.crossesDateline(from, to, dim);
-    // Negative-control fault: this adapter "forgets" the dateline, so the
-    // packet keeps its unpromoted VC across the wrap - the runtime twin of
-    // the NoDateline static counterexample.
-    if (!fault_no_promo_.empty() && fault_no_promo_[static_cast<std::size_t>(ca)])
-        crossing = false;
-
+    const bool crossing = (dateline_mask_ >> ca) & 1u;
     std::uint8_t vc;
     if (commit) {
         vc = pkt.vc.onTorusHop(crossing);

@@ -55,10 +55,12 @@ class Chip
   public:
     /**
      * @param layout Shared placement (identical for every chip).
+     * @param routes Shared route table built from @p layout and
+     *        cfg.dir_order (one per machine).
      * @param geom The machine's torus geometry (for dateline decisions).
      */
     Chip(NodeId node, const ChipConfig &cfg, const ChipLayout &layout,
-         const TorusGeom &geom);
+         const ChipRouteTable &routes, const TorusGeom &geom);
 
     /**
      * Register every component of this chip with the engine as one
@@ -180,6 +182,12 @@ class Chip
     void faultNoPromotion(int ca);
 
     /**
+     * Routing step for @p pkt at router @p r: output port and full VC,
+     * looked up in the shared route table.
+     */
+    RouteDecision routeAt(RouterId r, const Packet &pkt) const;
+
+    /**
      * Checkpoint this chip: every router, channel adapter, and endpoint
      * in registration order, every on-chip channel in wiring order, and
      * the multicast table. Torus channels belong to the Machine.
@@ -188,13 +196,13 @@ class Chip
     void loadState(CkptReader &r);
 
   private:
-    RouteDecision routeAt(RouterId r, Packet &pkt) const;
     std::vector<IngressCopy> ingressAt(int ca, const PacketPtr &pkt);
     std::uint8_t egressVcAt(int ca, Packet &pkt, bool commit) const;
 
     NodeId node_;
     ChipConfig cfg_;
     const ChipLayout &layout_;
+    const ChipRouteTable &routes_;
     const TorusGeom &geom_;
 
     std::vector<std::unique_ptr<Router>> routers_;
@@ -203,7 +211,10 @@ class Chip
     std::vector<std::unique_ptr<Channel>> channels_;
     std::vector<std::unique_ptr<RouterEnergyMeter>> energy_;
     std::unordered_map<std::int32_t, McastNodeEntry> mcast_;
-    std::vector<char> fault_no_promo_; ///< sized only when a fault is set
+    /** Bit ca: adapter ca's egress link crosses its dimension's
+     * dateline (fixed by the node's coordinates; cleared by
+     * faultNoPromotion). */
+    std::uint32_t dateline_mask_ = 0;
 };
 
 } // namespace anton2

@@ -25,10 +25,9 @@ kindInt(ChipChannel::Kind k)
 void
 Chip::faultNoPromotion(int ca)
 {
-    if (fault_no_promo_.empty())
-        fault_no_promo_.assign(
-            static_cast<std::size_t>(layout_.numChannelAdapters()), 0);
-    fault_no_promo_[static_cast<std::size_t>(ca)] = 1;
+    // This adapter "forgets" the dateline, so packets keep their
+    // unpromoted VC across the wrap.
+    dateline_mask_ &= ~(1u << ca);
 }
 
 std::string

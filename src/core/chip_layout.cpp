@@ -249,4 +249,66 @@ ChipLayout::route(const AttachPoint &entry, const AttachPoint &exit,
     return out;
 }
 
+ChipRouteTable::ChipRouteTable(const ChipLayout &layout,
+                               const MeshDirOrder &order)
+    : layout_(layout),
+      num_endpoints_(static_cast<std::size_t>(layout.numEndpoints())),
+      num_exits_(num_endpoints_
+                 + static_cast<std::size_t>(layout.numChannelAdapters()))
+{
+    entries_.resize(static_cast<std::size_t>(layout.numRouters())
+                    * num_exits_ * 2);
+    std::vector<AttachPoint> exits;
+    for (EndpointId e = 0; e < layout.numEndpoints(); ++e)
+        exits.push_back(AttachPoint::forEndpoint(e));
+    for (ChannelAdapterId ca = 0; ca < layout.numChannelAdapters(); ++ca) {
+        int dim, slice;
+        Dir dir;
+        layout.channelAdapterParams(ca, dim, dir, slice);
+        exits.push_back(AttachPoint::forChannel(dim, dir, slice));
+    }
+    const MeshGeom &mesh = layout.mesh();
+    for (RouterId r = 0; r < layout.numRouters(); ++r) {
+        for (std::size_t e = 0; e < num_exits_; ++e) {
+            const AttachPoint &exit = exits[e];
+            const RouterId r_out = layout.attachRouter(exit);
+            Entry local;
+            if (r == r_out) {
+                // Exit the mesh here.
+                if (exit.kind == AttachPoint::Kind::Endpoint) {
+                    local.port = static_cast<std::int8_t>(
+                        layout.endpointPort(r, exit.endpoint));
+                } else {
+                    local.port = static_cast<std::int8_t>(
+                        layout.channelPort(
+                            r, layout.channelAdapterIndex(
+                                   exit.dim, exit.dir, exit.slice)));
+                    local.torus_vc = true;
+                }
+            } else {
+                // Next mesh hop under direction-order routing (M-group).
+                MeshDir dir;
+                const bool more = meshNextDir(mesh, r, r_out, order, dir);
+                assert(more);
+                (void)more;
+                local.port = static_cast<std::int8_t>(layout.meshPort(r, dir));
+            }
+            // An X through-route crosses the chip on the skip channel
+            // (T-group) until it reaches its exit router.
+            Entry through = local;
+            if (r != r_out) {
+                through.port = layout.skipPeer(r).has_value()
+                                   ? static_cast<std::int8_t>(
+                                         layout.skipPort(r))
+                                   : std::int8_t{ -1 };
+                through.torus_vc = true;
+            }
+            const std::size_t i =
+                (static_cast<std::size_t>(r) * num_exits_ + e) * 2;
+            entries_[i] = local;
+            entries_[i + 1] = through;
+        }
+    }
+}
+
 } // namespace anton2

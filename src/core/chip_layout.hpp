@@ -226,4 +226,49 @@ class ChipLayout
     std::vector<std::vector<RouterPort>> router_ports_;
 };
 
+/**
+ * Precomputed on-chip routing for one ChipLayout and mesh direction order
+ * (the Anton 2 routers route by table lookup, Section 2.3). For every
+ * router and every exit attach point it holds the output port a packet
+ * leaves on and whether it rides its T-group (torus) or M-group (mesh)
+ * VC there, so per-packet route computation is a few loads. X
+ * through-routes have their own column: at the entry router they take the
+ * skip channel across the chip (Section 2.2). Every chip of a machine
+ * shares one layout and one direction order, so a machine builds one
+ * table.
+ */
+class ChipRouteTable
+{
+  public:
+    struct Entry
+    {
+        std::int8_t port = -1; ///< output port; -1 where no route exists
+        bool torus_vc = false; ///< T-group channel: use the torus VC
+    };
+
+    /** @p layout must outlive the table. */
+    ChipRouteTable(const ChipLayout &layout, const MeshDirOrder &order);
+
+    /** Routing step at router @p r toward @p exit; @p x_through selects
+     * the skip-channel column of an X through-route. */
+    const Entry &
+    at(RouterId r, const AttachPoint &exit, bool x_through) const
+    {
+        const std::size_t e =
+            exit.kind == AttachPoint::Kind::Endpoint
+                ? static_cast<std::size_t>(exit.endpoint)
+                : num_endpoints_
+                      + static_cast<std::size_t>(layout_.channelAdapterIndex(
+                          exit.dim, exit.dir, exit.slice));
+        return entries_[(static_cast<std::size_t>(r) * num_exits_ + e) * 2
+                        + (x_through ? 1 : 0)];
+    }
+
+  private:
+    const ChipLayout &layout_;
+    std::size_t num_endpoints_;
+    std::size_t num_exits_;
+    std::vector<Entry> entries_; ///< [router][exit][x_through]
+};
+
 } // namespace anton2

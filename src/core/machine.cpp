@@ -10,11 +10,30 @@
 
 namespace anton2 {
 
+namespace {
+
+/** @p radix, checked before any geometry is derived from it. */
+const std::vector<int> &
+checkedRadix(const std::vector<int> &radix)
+{
+    for (int k : radix) {
+        if (k < 1) {
+            throw std::invalid_argument(
+                "Machine: every torus radix must be >= 1, got "
+                + std::to_string(k));
+        }
+    }
+    return radix;
+}
+
+} // namespace
+
 Machine::Machine(const MachineConfig &cfg)
     : cfg_(cfg),
-      geom_(cfg.radix),
+      geom_(checkedRadix(cfg.radix)),
       layout_(cfg.chip.endpoints_per_node, static_cast<int>(
                                                cfg.radix.size())),
+      routes_(layout_, cfg.chip.dir_order),
       rng_(cfg.seed)
 {
     if (geom_.ndims() != 3)
@@ -23,7 +42,7 @@ Machine::Machine(const MachineConfig &cfg)
     chips_.reserve(geom_.numNodes());
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         chips_.push_back(
-            std::make_unique<Chip>(n, cfg_.chip, layout_, geom_));
+            std::make_unique<Chip>(n, cfg_.chip, layout_, routes_, geom_));
     }
 
     // The lookahead bound: shards may tick up to k cycles between

@@ -571,6 +571,7 @@ class Machine
     MachineConfig cfg_;
     TorusGeom geom_;
     ChipLayout layout_;
+    ChipRouteTable routes_; ///< shared by every chip
     Engine engine_;
     Rng rng_;
     Cycle lookahead_cap_ = 1;

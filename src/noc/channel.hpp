@@ -7,6 +7,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "noc/packet.hpp"
@@ -162,13 +163,14 @@ class VcBuffer
     int occupancy() const { return occupancy_; }
     bool empty() const { return entries_.empty(); }
 
-    /** Accept one incoming flit (head flit enqueues the packet). */
+    /** Accept one incoming flit (head flit enqueues the packet, taking
+     * over the phit's packet reference). */
     void
-    acceptFlit(const Phit &phit, Cycle now)
+    acceptFlit(Phit &&phit, Cycle now)
     {
         if (phit.head) {
             Entry e;
-            e.pkt = phit.pkt;
+            e.pkt = std::move(phit.pkt);
             e.head_at = now;
             entries_.push_back(std::move(e));
         }

@@ -1,5 +1,6 @@
 #include "noc/channel_adapter.hpp"
 
+#include <bit>
 #include <cassert>
 
 #include "arb/inverse_weighted.hpp"
@@ -19,7 +20,6 @@ ChannelAdapter::ChannelAdapter(std::string name,
       egress_arb_(makeArbiter(cfg.arb, cfg.num_vcs, cfg.weight_bits)),
       ingress_vcs_(static_cast<std::size_t>(cfg.num_vcs)),
       ingress_heads_(static_cast<std::size_t>(cfg.num_vcs)),
-      ingress_expanded_(static_cast<std::size_t>(cfg.num_vcs), false),
       ingress_arb_(makeArbiter(cfg.arb, cfg.num_vcs, cfg.weight_bits))
 {
     for (auto &vc : egress_vcs_)
@@ -100,9 +100,11 @@ ChannelAdapter::tickEgress(Cycle now)
             torus_credits_.release(cr->vc);
     }
     if (auto phit = router_in_->data.take(now)) {
-        if (phit->head)
+        if (phit->head) {
             ++egress_packets_;
-        egress_vcs_[phit->vc].acceptFlit(*phit, now);
+            egress_nonempty_ |= 1u << phit->vc;
+        }
+        egress_vcs_[phit->vc].acceptFlit(std::move(*phit), now);
     }
 
     // Serialization tokens: 14 per cycle, 45 per flit (89.6/288 Gb/s).
@@ -121,11 +123,10 @@ ChannelAdapter::tickEgress(Cycle now)
         std::uint32_t req = 0;
         bool credit_blocked = false;
         ReqInfo info[32];
-        for (int v = 0; v < cfg_.num_vcs; ++v) {
-            auto &buf = egress_vcs_[static_cast<std::size_t>(v)];
-            if (buf.empty())
-                continue;
-            auto &head = buf.head();
+        for (std::uint32_t mask = egress_nonempty_; mask != 0;
+             mask &= mask - 1) {
+            const int v = std::countr_zero(mask);
+            auto &head = egress_vcs_[static_cast<std::size_t>(v)].head();
             if (now <= head.head_at)
                 continue;
             const std::uint8_t link_vc =
@@ -157,15 +158,17 @@ ChannelAdapter::tickEgress(Cycle now)
         auto &head = buf.head();
         if (ser_tokens_ >= cfg_.ser_tokens_per_flit
             && head.sent < head.arrived) {
+            const bool first = head.sent == 0;
+            const bool tail = head.sent + 1 == head.pkt->size_flits;
             Phit phit;
             phit.pkt = head.pkt;
             phit.vc = egress_link_vc_;
             phit.index = head.sent;
-            phit.head = (head.sent == 0);
-            phit.tail = (head.sent + 1 == head.pkt->size_flits);
+            phit.head = first;
+            phit.tail = tail;
             phit.payload = head.pkt->payload[head.sent];
-            torus_out_->data.send(now, phit);
-            if (phit.head)
+            torus_out_->data.send(now, std::move(phit));
+            if (first)
                 tracePacketEvent(obs_, TraceUnitKind::ChannelAdapter,
                                  TraceEventType::LinkTraverse, now,
                                  head.pkt->id, -1, egress_link_vc_);
@@ -176,7 +179,7 @@ ChannelAdapter::tickEgress(Cycle now)
             ++flits_sent_;
             if (metrics_ != nullptr)
                 metrics_->flits_sent->inc();
-            if (phit.tail) {
+            if (tail) {
                 // Emit the link hop span while the entry is live (all
                 // cycles are existing state - no clock reads).
                 flowHopEvent(obs_, FlowUnitKind::Link, head.pkt->id,
@@ -184,6 +187,8 @@ ChannelAdapter::tickEgress(Cycle now)
                              head.head_at, egress_grant_at_, now, -1,
                              egress_link_vc_);
                 buf.popHead(now);
+                if (buf.empty())
+                    egress_nonempty_ &= ~(1u << egress_vc_);
                 --egress_packets_;
                 egress_busy_ = false;
                 egress_vc_ = -1;
@@ -205,9 +210,11 @@ ChannelAdapter::tickIngress(Cycle now)
     if (auto cr = router_out_->credit.take(now))
         router_credits_.release(cr->vc);
     if (auto phit = torus_in_->data.take(now)) {
-        if (phit->head)
+        if (phit->head) {
             ++ingress_packets_;
-        ingress_vcs_[phit->vc].acceptFlit(*phit, now);
+            ingress_nonempty_ |= 1u << phit->vc;
+        }
+        ingress_vcs_[phit->vc].acceptFlit(std::move(*phit), now);
         ++flits_received_;
         if (metrics_ != nullptr)
             metrics_->flits_received->inc();
@@ -218,15 +225,15 @@ ChannelAdapter::tickIngress(Cycle now)
 
     // Expand new head packets: inter-node route decision (and multicast
     // fan-out) happens once per packet, at the adapter.
-    for (int v = 0; v < cfg_.num_vcs; ++v) {
-        auto &buf = ingress_vcs_[static_cast<std::size_t>(v)];
-        if (buf.empty() || ingress_expanded_[static_cast<std::size_t>(v)])
-            continue;
+    for (std::uint32_t mask = ingress_nonempty_ & ~ingress_expanded_;
+         mask != 0; mask &= mask - 1) {
+        const int v = std::countr_zero(mask);
         auto &entry = ingress_heads_[static_cast<std::size_t>(v)];
-        entry.copies = ingress_fn_(buf.head().pkt);
+        entry.copies =
+            ingress_fn_(ingress_vcs_[static_cast<std::size_t>(v)].head().pkt);
         entry.next_copy = 0;
         entry.copy_sent = 0;
-        ingress_expanded_[static_cast<std::size_t>(v)] = true;
+        ingress_expanded_ |= 1u << v;
     }
 
     auto finishEntry = [&](int v) {
@@ -242,8 +249,10 @@ ChannelAdapter::tickIngress(Cycle now)
             }
         }
         buf.popHead(now);
+        if (buf.empty())
+            ingress_nonempty_ &= ~(1u << v);
         --ingress_packets_;
-        ingress_expanded_[static_cast<std::size_t>(v)] = false;
+        ingress_expanded_ &= ~(1u << v);
         entry.copies.clear();
     };
 
@@ -251,10 +260,10 @@ ChannelAdapter::tickIngress(Cycle now)
     if (!ingress_busy_) {
         std::uint32_t req = 0;
         ReqInfo info[32];
-        for (int v = 0; v < cfg_.num_vcs; ++v) {
+        for (std::uint32_t mask = ingress_nonempty_ & ingress_expanded_;
+             mask != 0; mask &= mask - 1) {
+            const int v = std::countr_zero(mask);
             auto &buf = ingress_vcs_[static_cast<std::size_t>(v)];
-            if (buf.empty() || !ingress_expanded_[static_cast<std::size_t>(v)])
-                continue;
             auto &entry = ingress_heads_[static_cast<std::size_t>(v)];
             if (entry.copies.empty()) {
                 finishEntry(v); // all copies done (or none): retire
@@ -297,7 +306,7 @@ ChannelAdapter::tickIngress(Cycle now)
             phit.head = (entry.copy_sent == 0);
             phit.tail = (entry.copy_sent + 1 == copy.pkt->size_flits);
             phit.payload = copy.pkt->payload[entry.copy_sent];
-            router_out_->data.send(now, phit);
+            router_out_->data.send(now, std::move(phit));
             ++entry.copy_sent;
             if (entry.copies.size() == 1) {
                 // Unicast: stream buffer slots / link credits per flit.
@@ -429,7 +438,7 @@ ChannelAdapter::collectBlockedHeads(std::vector<BlockedHead> &out) const
         if (ingress_busy_ && ingress_vc_ == v)
             continue;
         const auto &buf = ingress_vcs_[static_cast<std::size_t>(v)];
-        if (buf.empty() || !ingress_expanded_[static_cast<std::size_t>(v)])
+        if (buf.empty() || !((ingress_expanded_ >> v) & 1u))
             continue;
         const auto &entry = ingress_heads_[static_cast<std::size_t>(v)];
         if (entry.next_copy >= entry.copies.size())
@@ -474,8 +483,8 @@ ChannelAdapter::saveState(CkptWriter &w) const
         w.u16(e.copy_sent);
         w.b(e.active_granted);
     }
-    for (const bool x : ingress_expanded_)
-        w.b(x);
+    for (int v = 0; v < cfg_.num_vcs; ++v)
+        w.b((ingress_expanded_ >> v) & 1u);
     router_credits_.saveState(w);
     ingress_arb_->saveState(w);
     w.b(ingress_busy_);
@@ -520,8 +529,11 @@ ChannelAdapter::loadState(CkptReader &r)
         e.copy_sent = r.u16();
         e.active_granted = r.b();
     }
-    for (std::size_t i = 0; i < ingress_expanded_.size(); ++i)
-        ingress_expanded_[i] = r.b();
+    ingress_expanded_ = 0;
+    for (int v = 0; v < cfg_.num_vcs; ++v) {
+        if (r.b())
+            ingress_expanded_ |= 1u << v;
+    }
     router_credits_.loadState(r);
     ingress_arb_->loadState(r);
     ingress_busy_ = r.b();
@@ -535,6 +547,14 @@ ChannelAdapter::loadState(CkptReader &r)
     credits_withheld_ = r.u64();
     egress_packets_ = r.i32();
     ingress_packets_ = r.i32();
+    // The occupancy masks are derived state, not checkpointed.
+    egress_nonempty_ = ingress_nonempty_ = 0;
+    for (int v = 0; v < cfg_.num_vcs; ++v) {
+        if (!egress_vcs_[static_cast<std::size_t>(v)].empty())
+            egress_nonempty_ |= 1u << v;
+        if (!ingress_vcs_[static_cast<std::size_t>(v)].empty())
+            ingress_nonempty_ |= 1u << v;
+    }
 }
 
 bool

@@ -235,6 +235,7 @@ class ChannelAdapter final : public Component
     Channel *router_in_ = nullptr;
     Channel *torus_out_ = nullptr;
     std::vector<VcBuffer> egress_vcs_;
+    std::uint32_t egress_nonempty_ = 0; ///< bit v: egress_vcs_[v] occupied
     CreditCounter torus_credits_;
     std::unique_ptr<Arbiter> egress_arb_;
     int ser_tokens_ = 0;
@@ -248,7 +249,8 @@ class ChannelAdapter final : public Component
     Channel *router_out_ = nullptr;
     std::vector<VcBuffer> ingress_vcs_;
     std::vector<IngressEntry> ingress_heads_; ///< per VC, expansion state
-    std::vector<bool> ingress_expanded_;
+    std::uint32_t ingress_nonempty_ = 0; ///< bit v: ingress_vcs_[v] occupied
+    std::uint32_t ingress_expanded_ = 0; ///< bit v: head v expanded
     CreditCounter router_credits_;
     std::unique_ptr<Arbiter> ingress_arb_;
     bool ingress_busy_ = false;

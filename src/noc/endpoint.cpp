@@ -122,17 +122,18 @@ EndpointAdapter::tickInject(Cycle now)
     if (inj_active_ != nullptr) {
         const int vc = fullVcIndex(inj_active_->tc, inj_active_->vc.meshVc(),
                                    cfg_.num_vcs / kNumTrafficClasses);
+        const bool tail = inj_sent_ + 1 == inj_active_->size_flits;
         Phit phit;
         phit.pkt = inj_active_;
         phit.vc = static_cast<std::uint8_t>(vc);
         phit.index = inj_sent_;
         phit.head = (inj_sent_ == 0);
-        phit.tail = (inj_sent_ + 1 == inj_active_->size_flits);
+        phit.tail = tail;
         phit.payload = inj_active_->payload[inj_sent_];
-        to_router_->data.send(now, phit);
+        to_router_->data.send(now, std::move(phit));
         ++inj_sent_;
         ++flits_injected_;
-        if (phit.tail) {
+        if (tail) {
             inj_active_.reset();
             inj_sent_ = 0;
             ++injected_;

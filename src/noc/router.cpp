@@ -134,10 +134,11 @@ Router::receive(Cycle now)
             if (phit->head) {
                 ++buffered_packets_;
                 ip.nonempty |= 1u << phit->vc;
+                ip.rc_work |= 1u << phit->vc;
             }
-            ip.vcs[phit->vc].acceptFlit(*phit, now);
             if (energy_ != nullptr)
                 energy_->onFlit(static_cast<int>(p), phit->payload, now);
+            ip.vcs[phit->vc].acceptFlit(std::move(*phit), now);
             if (metrics_ != nullptr)
                 metrics_->in_flits[p]->inc();
             ++flits_routed_;
@@ -150,30 +151,38 @@ Router::stageRc(Cycle now)
 {
     // Two-deep lookahead: the packet behind the head proceeds through RC
     // and VA while the head drains, so back-to-back packets on one VC do
-    // not restart the pipeline.
+    // not restart the pipeline. Only the first four entries are looked
+    // at, so an entry further back has never been routed.
     for (auto &ip : in_) {
-        for (std::uint32_t mask = ip.nonempty; mask != 0;
-             mask &= mask - 1) {
-            auto &vc = ip.vcs[static_cast<std::size_t>(
-                std::countr_zero(mask))];
+        for (std::uint32_t mask = ip.rc_work; mask != 0; mask &= mask - 1) {
+            const int v = std::countr_zero(mask);
+            auto &vc = ip.vcs[static_cast<std::size_t>(v)];
             const std::size_t depth = std::min<std::size_t>(
                 vc.packetCount(), 4);
+            bool unrouted = vc.packetCount() > depth;
             for (std::size_t i = 0; i < depth; ++i) {
                 auto &entry = vc.entry(i);
-                if (!entry.routed && now > entry.head_at) {
-                    const RouteDecision d = route_fn_(*entry.pkt);
-                    assert(d.out_port >= 0 && d.out_port < cfg_.num_ports);
-                    assert(out_[static_cast<std::size_t>(d.out_port)].ch
-                           != nullptr);
-                    entry.out_port = d.out_port;
-                    entry.out_vc = d.out_vc;
-                    entry.routed = true;
-                    entry.routed_at = now;
-                    tracePacketEvent(obs_, TraceUnitKind::Router,
-                                     TraceEventType::RouteComputed, now,
-                                     entry.pkt->id, d.out_port, d.out_vc);
+                if (entry.routed)
+                    continue;
+                if (now <= entry.head_at) {
+                    unrouted = true;
+                    continue;
                 }
+                const RouteDecision d = route_fn_(*entry.pkt);
+                assert(d.out_port >= 0 && d.out_port < cfg_.num_ports);
+                assert(out_[static_cast<std::size_t>(d.out_port)].ch
+                       != nullptr);
+                entry.out_port = d.out_port;
+                entry.out_vc = d.out_vc;
+                entry.routed = true;
+                entry.routed_at = now;
+                ip.va_work |= 1u << v;
+                tracePacketEvent(obs_, TraceUnitKind::Router,
+                                 TraceEventType::RouteComputed, now,
+                                 entry.pkt->id, d.out_port, d.out_vc);
             }
+            if (!unrouted)
+                ip.rc_work &= ~(1u << v);
         }
     }
 }
@@ -182,31 +191,40 @@ void
 Router::stageVa(Cycle now)
 {
     for (auto &ip : in_) {
-        for (std::uint32_t mask = ip.nonempty; mask != 0;
-             mask &= mask - 1) {
-            auto &vc = ip.vcs[static_cast<std::size_t>(
-                std::countr_zero(mask))];
+        for (std::uint32_t mask = ip.va_work; mask != 0; mask &= mask - 1) {
+            const int v = std::countr_zero(mask);
+            auto &vc = ip.vcs[static_cast<std::size_t>(v)];
             const std::size_t depth = std::min<std::size_t>(
                 vc.packetCount(), 4);
+            bool waiting = false;
             for (std::size_t i = 0; i < depth; ++i) {
                 auto &entry = vc.entry(i);
-                if (entry.routed && !entry.va_done
-                    && now > entry.routed_at) {
-                    const auto &op =
-                        out_[static_cast<std::size_t>(entry.out_port)];
-                    if (op.credits.available(entry.out_vc)
-                        >= entry.pkt->size_flits) {
-                        entry.va_done = true;
-                        entry.va_at = now;
-                        tracePacketEvent(obs_, TraceUnitKind::Router,
-                                         TraceEventType::VcAllocated, now,
-                                         entry.pkt->id, entry.out_port,
-                                         entry.out_vc);
-                    } else if (metrics_ != nullptr && i == 0) {
+                if (!entry.routed || entry.va_done)
+                    continue;
+                if (now <= entry.routed_at) {
+                    waiting = true;
+                    continue;
+                }
+                const auto &op =
+                    out_[static_cast<std::size_t>(entry.out_port)];
+                if (op.credits.available(entry.out_vc)
+                    >= entry.pkt->size_flits) {
+                    entry.va_done = true;
+                    entry.va_at = now;
+                    if (i == 0)
+                        ip.sa_work |= 1u << v;
+                    tracePacketEvent(obs_, TraceUnitKind::Router,
+                                     TraceEventType::VcAllocated, now,
+                                     entry.pkt->id, entry.out_port,
+                                     entry.out_vc);
+                } else {
+                    waiting = true;
+                    if (metrics_ != nullptr && i == 0)
                         metrics_->va_credit_stalls->inc();
-                    }
                 }
             }
+            if (!waiting)
+                ip.va_work &= ~(1u << v);
         }
     }
 }
@@ -220,12 +238,10 @@ Router::stageSa1(Cycle now)
         if (ip.draining)
             continue;
         std::uint32_t req = 0;
-        for (std::uint32_t mask = ip.nonempty; mask != 0;
-             mask &= mask - 1) {
+        for (std::uint32_t mask = ip.sa_work; mask != 0; mask &= mask - 1) {
             const auto v = static_cast<std::size_t>(
                 std::countr_zero(mask));
-            const auto &head = ip.vcs[v].head();
-            if (head.va_done && !head.granted && now > head.va_at)
+            if (now > ip.vcs[v].head().va_at)
                 req |= 1u << v;
         }
         if (req != 0)
@@ -236,63 +252,68 @@ Router::stageSa1(Cycle now)
 void
 Router::stageSa2(Cycle now)
 {
-    for (std::size_t o = 0; o < out_.size(); ++o) {
-        auto &op = out_[o];
+    // Each SA1 winner requests exactly one output (its head's route), so
+    // one pass over the inputs builds every output's request mask. A
+    // grant at an output only retires requests for that same output
+    // (the winner's, and that output's credits), so granting in
+    // ascending output order afterwards equals re-scanning the inputs
+    // for every output.
+    std::uint32_t req[kRouterPorts] = {};
+    std::uint32_t outs = 0;
+    ReqInfo info[kRouterPorts];
+    for (std::size_t p = 0; p < in_.size(); ++p) {
+        const int v = sa1_winner_[p];
+        if (v < 0 || in_[p].draining)
+            continue;
+        const auto &vcbuf = in_[p].vcs[static_cast<std::size_t>(v)];
+        // Re-validate: the SA1 pick is a cycle old and the head may
+        // have been popped or granted since.
+        if (vcbuf.empty())
+            continue;
+        const auto &head = vcbuf.head();
+        if (!head.va_done || head.granted)
+            continue;
+        const auto o = static_cast<std::size_t>(head.out_port);
+        const auto &op = out_[o];
         if (op.ch == nullptr || op.busy)
             continue;
-
-        std::uint32_t req = 0;
-        ReqInfo info[kRouterPorts];
-        for (std::size_t p = 0; p < in_.size(); ++p) {
-            const int v = sa1_winner_[p];
-            if (v < 0 || in_[p].draining)
-                continue;
-            const auto &vcbuf = in_[p].vcs[static_cast<std::size_t>(v)];
-            // Re-validate: the SA1 pick is a cycle old and the head may
-            // have been popped or granted since.
-            if (vcbuf.empty())
-                continue;
-            const auto &head = vcbuf.head();
-            if (!head.va_done || head.granted)
-                continue;
-            if (head.out_port != static_cast<int>(o))
-                continue;
-            // Re-validate credits at grant time: VA eligibility may be
-            // stale if an earlier grant consumed the slots.
-            if (op.credits.available(head.out_vc) < head.pkt->size_flits)
-                continue;
-            req |= 1u << p;
-            info[p].pattern = head.pkt->pattern;
-            info[p].age = head.pkt->birth;
-        }
-        if (req == 0)
+        // Re-validate credits at grant time: VA eligibility may be
+        // stale if an earlier grant consumed the slots.
+        if (op.credits.available(head.out_vc) < head.pkt->size_flits)
             continue;
+        req[o] |= 1u << p;
+        outs |= 1u << o;
+        info[p].pattern = head.pkt->pattern;
+        info[p].age = head.pkt->birth;
+    }
 
-        const int winner = sa2_[o]->pick(req, info);
+    for (; outs != 0; outs &= outs - 1) {
+        const auto o = static_cast<std::size_t>(std::countr_zero(outs));
+        auto &op = out_[o];
+        const int winner = sa2_[o]->pick(req[o], info);
         assert(winner >= 0);
         if (metrics_ != nullptr) {
             metrics_->sa2_grants->inc();
             metrics_->sa2_losses->inc(
-                static_cast<std::uint64_t>(std::popcount(req)) - 1);
+                static_cast<std::uint64_t>(std::popcount(req[o])) - 1);
         }
-        auto &ip = in_[static_cast<std::size_t>(winner)];
-        auto &head = ip.vcs[static_cast<std::size_t>(
-                                sa1_winner_[static_cast<std::size_t>(
-                                    winner)])]
-                         .head();
+        const auto w = static_cast<std::size_t>(winner);
+        auto &ip = in_[w];
+        const int v = sa1_winner_[w];
+        auto &head = ip.vcs[static_cast<std::size_t>(v)].head();
         head.granted = true;
         head.granted_at = now;
+        ip.sa_work &= ~(1u << v);
         tracePacketEvent(obs_, TraceUnitKind::Router,
                          TraceEventType::SwitchGrant, now, head.pkt->id,
                          static_cast<int>(o), head.out_vc);
         op.busy = true;
         op.src_port = winner;
-        op.src_vc = sa1_winner_[static_cast<std::size_t>(winner)];
+        op.src_vc = v;
         op.out_vc = head.out_vc;
         op.credits.consume(head.out_vc, head.pkt->size_flits);
         ip.draining = true;
-        sa1_winner_[static_cast<std::size_t>(winner)] = -1;
-        (void)now;
+        sa1_winner_[w] = -1;
     }
 }
 
@@ -310,20 +331,21 @@ Router::stageSt(Cycle now)
             continue; // cut-through: tail not yet arrived
         st_sent_mask_ |= 1u << o;
 
+        const bool tail = head.sent + 1 == head.pkt->size_flits;
         Phit phit;
         phit.pkt = head.pkt;
         phit.vc = op.out_vc;
         phit.index = head.sent;
         phit.head = (head.sent == 0);
-        phit.tail = (head.sent + 1 == head.pkt->size_flits);
+        phit.tail = tail;
         phit.payload = head.pkt->payload[head.sent];
-        op.ch->data.send(now, phit);
+        op.ch->data.send(now, std::move(phit));
 
         ip.ch->credit.send(now, Credit{ static_cast<std::uint8_t>(
                                     op.src_vc) });
         vcbuf.sendFlit();
 
-        if (phit.tail) {
+        if (tail) {
             // Emit the hop span while the entry's pipeline timestamps
             // are still live (every cycle below is existing state - no
             // clock is read for the probe).
@@ -332,8 +354,14 @@ Router::stageSt(Cycle now)
                          head.head_at, head.granted_at, now,
                          static_cast<int>(o), op.out_vc);
             vcbuf.popHead(now);
+            const std::uint32_t bit = 1u << op.src_vc;
             if (vcbuf.empty())
-                ip.nonempty &= ~(1u << op.src_vc);
+                ip.nonempty &= ~bit;
+            // The next packet may already be VC-allocated (lookahead).
+            if (!vcbuf.empty() && vcbuf.head().va_done)
+                ip.sa_work |= bit;
+            else
+                ip.sa_work &= ~bit;
             --buffered_packets_;
             op.busy = false;
             op.src_port = -1;
@@ -426,6 +454,25 @@ Router::tick(Cycle now)
     stageSa1(now);
     if (stalls_ != nullptr)
         sampleStalls();
+}
+
+void
+Router::rebuildWorkMasks(InPort &ip)
+{
+    ip.rc_work = ip.va_work = ip.sa_work = 0;
+    for (std::size_t v = 0; v < ip.vcs.size(); ++v) {
+        const VcBuffer &vc = ip.vcs[v];
+        const std::uint32_t bit = 1u << v;
+        for (std::size_t i = 0; i < vc.packetCount(); ++i) {
+            const auto &e = vc.entry(i);
+            if (!e.routed)
+                ip.rc_work |= bit;
+            else if (!e.va_done)
+                ip.va_work |= bit;
+        }
+        if (!vc.empty() && vc.head().va_done && !vc.head().granted)
+            ip.sa_work |= bit;
+    }
 }
 
 bool
@@ -574,6 +621,7 @@ Router::loadState(CkptReader &r)
             vc.loadState(r);
         ip.nonempty = r.u32();
         ip.draining = r.b();
+        rebuildWorkMasks(ip);
     }
     for (OutPort &op : out_) {
         const bool connected = r.b();

@@ -172,11 +172,20 @@ class Router final : public Component
     void loadState(CkptReader &r);
 
   private:
+    /**
+     * One input port. Besides `nonempty`, three per-VC work masks let
+     * the stages visit only VCs with something to do for them; each is
+     * derived state (rebuilt from the buffers on restore) and only ever
+     * narrows a scan whose per-entry tests are unchanged.
+     */
     struct InPort
     {
         Channel *ch = nullptr;
         std::vector<VcBuffer> vcs;
         std::uint32_t nonempty = 0; ///< bit v set iff vcs[v] holds packets
+        std::uint32_t rc_work = 0;  ///< vcs[v] holds an unrouted packet
+        std::uint32_t va_work = 0;  ///< ... a routed packet awaiting VA
+        std::uint32_t sa_work = 0;  ///< head VC-allocated, not yet granted
         bool draining = false; ///< a granted packet is crossing the switch
     };
 
@@ -197,6 +206,7 @@ class Router final : public Component
     void stageSa2(Cycle now);
     void stageSt(Cycle now);
     void sampleStalls();
+    static void rebuildWorkMasks(InPort &ip);
 
     RouterConfig cfg_;
     RouteFn route_fn_;

@@ -65,11 +65,18 @@ int
 nextRouteDim(const TorusGeom &geom, NodeId here, NodeId dst,
              const RouteSpec &spec)
 {
-    const Coords ch = geom.coords(here);
-    const Coords cd = geom.coords(dst);
+    // Called once per packet per node on the ingress path: compare the
+    // coordinates digit by digit instead of building two Coords vectors.
+    std::uint32_t differs = 0;
+    for (int d = 0; d < geom.ndims(); ++d) {
+        const auto k = static_cast<NodeId>(geom.radix(d));
+        if (here % k != dst % k)
+            differs |= 1u << d;
+        here /= k;
+        dst /= k;
+    }
     for (int d : spec.order) {
-        const auto dd = static_cast<std::size_t>(d);
-        if (ch[dd] != cd[dd])
+        if ((differs >> d) & 1u)
             return d;
     }
     return -1;

@@ -9,9 +9,12 @@
  */
 #pragma once
 
+#include <atomic>
 #include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hpp"
@@ -22,7 +25,18 @@ namespace anton2 {
  * A unidirectional delay line carrying at most one value of type T per
  * cycle. Values sent at cycle t are receivable exactly at cycle t+latency.
  *
- * Implemented as a ring buffer of optional slots indexed by delivery cycle.
+ * Implemented as a ring buffer of slots indexed by delivery cycle; each
+ * slot keeps its delivery cycle beside its value, so a poll touches one
+ * slot. An in-flight count (values sent minus values taken) lets polls
+ * of an empty wire - the common case - return without indexing the ring
+ * at all, and makes busy() O(1).
+ *
+ * The count is kept as two single-writer counters: the sender bumps one,
+ * the receiver the other. A wire that crosses engine shards is sent and
+ * taken from two threads inside a lookahead window; neither counter then
+ * has two writers, and a receiver that reads a stale send count only
+ * misses values that are not deliverable before the next window anyway
+ * (see Wire's slack parameter), so relaxed atomics suffice.
  */
 template <typename T>
 class Wire
@@ -38,9 +52,7 @@ class Wire
      *        cycle-by-cycle on one lane) keep the default 0.
      */
     explicit Wire(Cycle latency = 1, Cycle slack = 0)
-        : latency_(latency),
-          slots_(ringSize(latency, slack)),
-          deliver_at_(ringSize(latency, slack), kNoCycle)
+        : latency_(latency), slots_(ringSize(latency, slack))
     {
         assert(latency >= 1 && "zero-latency wires would make evaluation "
                                "order-dependent");
@@ -55,47 +67,56 @@ class Wire
     void
     send(Cycle now, T value)
     {
-        const std::size_t i = index(now + latency_);
-        assert(!slots_[i].has_value() && "wire driven twice in one cycle");
-        slots_[i] = std::move(value);
-        deliver_at_[i] = now + latency_;
+        Slot &slot = slots_[index(now + latency_)];
+        assert(!slot.value.has_value() && "wire driven twice in one cycle");
+        if (!slot.value.has_value())
+            bump(sends_);
+        slot.value = std::move(value);
+        slot.at = now + latency_;
     }
 
     /** True if a value is deliverable at cycle @p now. */
     bool
     pending(Cycle now) const
     {
-        const std::size_t i = index(now);
+        if (!busy())
+            return false;
         // The delivery-cycle tag prevents reading a value early when a
         // receiver was not polling on earlier cycles (slot aliasing).
-        return slots_[i].has_value() && deliver_at_[i] == now;
+        const Slot &slot = slots_[index(now)];
+        return slot.at == now && slot.value.has_value();
     }
 
     /** Consume and return the value deliverable at cycle @p now, if any. */
     std::optional<T>
     take(Cycle now)
     {
-        const std::size_t i = index(now);
-        if (!slots_[i].has_value() || deliver_at_[i] != now)
+        if (!busy())
             return std::nullopt;
-        std::optional<T> out = std::move(slots_[i]);
-        slots_[i].reset();
+        Slot &slot = slots_[index(now)];
+        if (slot.at != now || !slot.value.has_value())
+            return std::nullopt;
+        std::optional<T> out = std::move(slot.value);
+        slot.value.reset();
+        bump(takes_);
         return out;
     }
 
     /**
-     * True if any value is still in flight anywhere in the delay line.
-     * Used for quiescence detection; O(latency).
+     * Values sent and not yet taken, including any whose delivery cycle
+     * passed without a take (they stay in their slot until taken or
+     * cleared, exactly as busy() reports them).
      */
-    bool
-    busy() const
+    std::size_t
+    inFlight() const
     {
-        for (const auto &slot : slots_) {
-            if (slot.has_value())
-                return true;
-        }
-        return false;
+        return static_cast<std::size_t>(
+            sends_.load(std::memory_order_relaxed)
+            - takes_.load(std::memory_order_relaxed));
     }
+
+    /** True if any value is still in flight; used for quiescence. */
+    bool busy() const { return inFlight() != 0; }
 
     /**
      * Visit every value still in flight, in unspecified order. Read-only:
@@ -106,9 +127,9 @@ class Wire
     void
     forEachInFlight(Fn &&fn) const
     {
-        for (const auto &slot : slots_) {
-            if (slot.has_value())
-                fn(*slot);
+        for (const Slot &slot : slots_) {
+            if (slot.value.has_value())
+                fn(*slot.value);
         }
     }
 
@@ -122,9 +143,9 @@ class Wire
     void
     forEachSlot(Fn &&fn) const
     {
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            if (slots_[i].has_value())
-                fn(deliver_at_[i], *slots_[i]);
+        for (const Slot &slot : slots_) {
+            if (slot.value.has_value())
+                fn(slot.at, *slot.value);
         }
     }
 
@@ -135,10 +156,12 @@ class Wire
     void
     clearAll()
     {
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            slots_[i].reset();
-            deliver_at_[i] = kNoCycle;
+        for (Slot &slot : slots_) {
+            slot.value.reset();
+            slot.at = kNoCycle;
         }
+        sends_.store(0, std::memory_order_relaxed);
+        takes_.store(0, std::memory_order_relaxed);
     }
 
     /**
@@ -149,19 +172,35 @@ class Wire
     void
     restoreSlot(Cycle deliver_at, T value)
     {
-        const std::size_t i = index(deliver_at);
-        assert(!slots_[i].has_value() && "restore into occupied slot");
-        slots_[i] = std::move(value);
-        deliver_at_[i] = deliver_at;
+        Slot &slot = slots_[index(deliver_at)];
+        assert(!slot.value.has_value() && "restore into occupied slot");
+        if (!slot.value.has_value())
+            bump(sends_);
+        slot.value = std::move(value);
+        slot.at = deliver_at;
     }
 
   private:
+    struct Slot
+    {
+        Cycle at = kNoCycle; ///< delivery cycle of `value`
+        std::optional<T> value;
+    };
+
     static std::size_t
     ringSize(Cycle latency, Cycle slack)
     {
         // One slot per in-flight cycle plus the current one, plus the
         // window slack (see the constructor).
         return static_cast<std::size_t>(latency + slack) + 1;
+    }
+
+    /** Single-writer increment (see the class comment). */
+    static void
+    bump(std::atomic<std::uint64_t> &counter)
+    {
+        counter.store(counter.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
     }
 
     std::size_t
@@ -171,8 +210,9 @@ class Wire
     }
 
     Cycle latency_;
-    std::vector<std::optional<T>> slots_;
-    std::vector<Cycle> deliver_at_;
+    std::vector<Slot> slots_;
+    std::atomic<std::uint64_t> sends_{ 0 }; ///< written by the sender only
+    std::atomic<std::uint64_t> takes_{ 0 }; ///< written by the receiver only
 };
 
 } // namespace anton2

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "core/chip_layout.hpp"
+#include "core/machine.hpp"
 
 namespace anton2 {
 namespace {
@@ -204,6 +206,134 @@ TEST(ChipLayoutConfig, SmallerEndpointCountsWork)
     const ChipLayout small(4, 3);
     EXPECT_EQ(small.numEndpoints(), 4);
     EXPECT_EQ(small.numChannelAdapters(), 12);
+}
+
+// ---------------------------------------------------------------------
+// Table-driven routing: Chip::routeAt walked hop by hop must visit exactly
+// the channels ChipLayout::route lists, with the M-/T-group VC per hop.
+// ---------------------------------------------------------------------
+
+/** Every attach point of @p layout: endpoints, then channel adapters. */
+std::vector<AttachPoint>
+allAttachPoints(const ChipLayout &layout)
+{
+    std::vector<AttachPoint> points;
+    for (EndpointId e = 0; e < layout.numEndpoints(); ++e)
+        points.push_back(AttachPoint::forEndpoint(e));
+    for (ChannelAdapterId ca = 0; ca < layout.numChannelAdapters(); ++ca) {
+        int dim, slice;
+        Dir dir;
+        layout.channelAdapterParams(ca, dim, dir, slice);
+        points.push_back(AttachPoint::forChannel(dim, dir, slice));
+    }
+    return points;
+}
+
+void
+expectTableMatchesLayoutRoutes(const MeshDirOrder &order)
+{
+    MachineConfig cfg;
+    cfg.radix = { 2, 2, 2 };
+    cfg.chip.endpoints_per_node = 23;
+    // Baseline2n gives the M- and T-group VCs different values once a
+    // dimension is complete, so a wrong VC group shows up.
+    cfg.chip.vc_policy = VcPolicy::Baseline2n;
+    cfg.chip.dir_order = order;
+    cfg.use_packaging = false;
+    Machine m(cfg);
+    const Chip &chip = m.chip(0);
+    const ChipLayout &layout = m.layout();
+    const MeshGeom &mesh = layout.mesh();
+    const int per_class = cfg.chip.vcsPerClass();
+
+    int x_through_routes = 0;
+    for (const AttachPoint &entry : allAttachPoints(layout)) {
+        for (const AttachPoint &exit : allAttachPoints(layout)) {
+            const bool through = entry.kind == AttachPoint::Kind::Channel
+                                 && exit.kind == AttachPoint::Kind::Channel
+                                 && entry.dim == exit.dim
+                                 && entry.slice == exit.slice
+                                 && entry.dir == opposite(exit.dir);
+            Packet pkt;
+            pkt.tc = TrafficClass::Reply;
+            pkt.vc = VcState(VcPolicy::Baseline2n);
+            pkt.vc.onDimComplete();
+            pkt.chip_exit = exit;
+            // Set exactly as ingress routing does (Chip::ingressAt).
+            pkt.x_through = through && entry.dim == 0;
+            x_through_routes += pkt.x_through
+                                && layout.attachRouter(entry)
+                                       != layout.attachRouter(exit);
+            const int mesh_vc = fullVcIndex(pkt.tc, pkt.vc.meshVc(),
+                                            per_class);
+            const int torus_vc = fullVcIndex(pkt.tc, pkt.vc.torusVc(),
+                                             per_class);
+
+            const std::vector<ChipChannel> want =
+                layout.route(entry, exit, order);
+            std::vector<ChipChannel> got{ want.front() }; // entry channel
+            RouterId r = layout.attachRouter(entry);
+            for (int hop = 0; hop < 16; ++hop) {
+                const RouteDecision d = chip.routeAt(r, pkt);
+                ASSERT_GE(d.out_port, 0);
+                const RouterPort &port = layout.routerPorts(r)[
+                    static_cast<std::size_t>(d.out_port)];
+                ChipChannel ch{};
+                bool exits = false;
+                int want_vc = mesh_vc;
+                switch (port.kind) {
+                  case RouterPort::Kind::Mesh:
+                    ch = { ChipChannel::Kind::Mesh, r,
+                           mesh.move(r, port.mesh_dir), -1 };
+                    break;
+                  case RouterPort::Kind::Skip:
+                    ch = { ChipChannel::Kind::Skip, r, port.skip_peer, -1 };
+                    want_vc = torus_vc;
+                    break;
+                  case RouterPort::Kind::Channel:
+                    ch = { ChipChannel::Kind::RouterToAdapter, r, r,
+                           port.adapter };
+                    want_vc = torus_vc;
+                    exits = true;
+                    break;
+                  case RouterPort::Kind::Endpoint:
+                    ch = { ChipChannel::Kind::RouterToEndpoint, r, r,
+                           port.adapter };
+                    exits = true;
+                    break;
+                  case RouterPort::Kind::Unused:
+                    FAIL() << "route onto an unused port";
+                }
+                EXPECT_EQ(d.out_vc, want_vc) << "router " << r;
+                got.push_back(ch);
+                if (exits)
+                    break;
+                r = ch.to_router;
+            }
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(got[i].kind, want[i].kind) << "hop " << i;
+                EXPECT_EQ(got[i].from_router, want[i].from_router);
+                EXPECT_EQ(got[i].to_router, want[i].to_router);
+                EXPECT_EQ(got[i].adapter, want[i].adapter);
+            }
+        }
+    }
+    // Both X slices in both directions cross the chip on a skip channel.
+    EXPECT_EQ(x_through_routes, 4);
+}
+
+TEST(ChipRouteTable, MatchesLayoutRoutesUnderTheAnton2Order)
+{
+    expectTableMatchesLayoutRoutes(anton2DirOrder());
+}
+
+TEST(ChipRouteTable, MatchesLayoutRoutesUnderAnotherOrder)
+{
+    const MeshDirOrder other{ MeshDir::UPos, MeshDir::VPos, MeshDir::UNeg,
+                              MeshDir::VNeg };
+    ASSERT_NE(other, anton2DirOrder());
+    expectTableMatchesLayoutRoutes(other);
 }
 
 } // namespace

@@ -567,6 +567,31 @@ TEST(BenchFlagValidation, CoresMustFitTheChip)
     }
 }
 
+TEST(BenchFlagValidation, ShapeNeedsTwoNodesAndAPositiveBatch)
+{
+    EXPECT_TRUE(bench::validateShape(2, 1, 1, "--maxbatch", 1));
+    EXPECT_TRUE(bench::validateShape(8, 4, 4, "--batch", 256));
+    const long bad_radix[][3] = { { 0, 2, 2 }, { 2, -1, 2 }, { 2, 2, 0 },
+                                  { 1, 1, 1 } };
+    for (const auto &k : bad_radix) {
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(bench::validateShape(k[0], k[1], k[2], "--maxbatch",
+                                          4))
+            << k[0] << "x" << k[1] << "x" << k[2];
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                      "error: --kx/--ky/--kz must each be >= 1 and give "
+                      "at least 2 nodes"),
+                  std::string::npos);
+    }
+    for (const char *flag : { "--maxbatch", "--batch" }) {
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(bench::validateShape(2, 2, 2, flag, 0)) << flag;
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                      std::string("error: ") + flag + " must be >= 1"),
+                  std::string::npos);
+    }
+}
+
 TEST(BenchFlagValidation, HostProfileSampleMustBePositive)
 {
     bench::HostProfileOptions hp;

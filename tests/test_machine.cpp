@@ -9,6 +9,8 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "core/machine.hpp"
 
@@ -26,6 +28,19 @@ smallConfig()
     cfg.fixed_torus_latency = 10;
     cfg.seed = 7;
     return cfg;
+}
+
+TEST(Machine, RejectsTorusRadixBelowOne)
+{
+    for (const std::vector<int> &radix :
+         { std::vector<int>{ 0, 2, 2 }, std::vector<int>{ 2, 2, -3 } }) {
+        MachineConfig cfg = smallConfig();
+        cfg.radix = radix;
+        EXPECT_THROW(Machine{ cfg }, std::invalid_argument);
+    }
+    MachineConfig one = smallConfig();
+    one.radix = { 1, 1, 2 };
+    EXPECT_NO_THROW(Machine{ one });
 }
 
 TEST(Machine, SingleWriteSameNodeDelivers)

@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <vector>
 
+#include "arb/inverse_weighted.hpp"
 #include "noc/router.hpp"
 #include "sim/engine.hpp"
 
@@ -264,6 +268,172 @@ TEST(RouterUnit, StallAttributionSumsExactlyToSampledCycles)
     EXPECT_GT(cy[static_cast<std::size_t>(StallClass::NoInput)], 0u);
     // aggregate() mirrors the per-port sums.
     EXPECT_EQ(s->aggregate().total(), s->sampled_cycles);
+}
+
+/**
+ * Three inputs (ports 0-2) contending for two outputs (ports 3, 4). Each
+ * input streams 12 packets with a per-packet output, VC, size and
+ * pattern, honoring the router's credits like a real upstream neighbor;
+ * the outputs return a credit for every flit after a one-cycle turn, so
+ * SA2 also re-validates credits that an earlier grant consumed.
+ */
+struct ContentionBench
+{
+    static constexpr int kInputs = 3;
+    static constexpr int kPacketsPerInput = 12;
+    static constexpr int kVcs = 2;
+    static constexpr int kBuf = 4;
+
+    /** One head flit leaving the router: (cycle, output, packet id). */
+    struct Grant
+    {
+        Cycle cycle;
+        int out;
+        std::uint64_t id;
+        bool operator==(const Grant &) const = default;
+    };
+
+    explicit ContentionBench(ArbPolicy policy)
+    {
+        RouterConfig cfg;
+        cfg.num_ports = 5;
+        cfg.num_vcs = kVcs;
+        cfg.buf_flits_per_vc = kBuf;
+        cfg.out_arb = policy;
+        router = std::make_unique<Router>(
+            "r", cfg, [](Packet &p) {
+                return RouteDecision{ 3 + p.dst.ep % 2,
+                                      static_cast<std::uint8_t>(
+                                          p.dst.ep / 2 % kVcs) };
+            });
+        for (int i = 0; i < kInputs; ++i) {
+            router->connectIn(i, in[i]);
+            credits[i].init(kVcs, kBuf);
+            for (int k = 0; k < kPacketsPerInput; ++k) {
+                auto pkt = makeTestPacket(1 + ((i + k) % 3 == 0));
+                pkt->id = static_cast<std::uint64_t>(100 * i + k);
+                pkt->src.ep = i;
+                pkt->dst.ep = (i + 2 * k + k / 3) % 4;
+                pkt->pattern = static_cast<std::uint8_t>((i + k) % 2);
+                pkt->birth = static_cast<Cycle>(k);
+                queue[i].push_back(pkt);
+            }
+        }
+        for (int o = 0; o < 2; ++o)
+            router->connectOut(3 + o, out[o], 2);
+        engine.add(*router);
+    }
+
+    /** Run until every packet left the router; returns the head grants. */
+    std::vector<Grant>
+    run()
+    {
+        std::vector<Grant> grants;
+        int delivered = 0;
+        for (Cycle guard = 0; guard < 400 && delivered < kInputs
+                                  * kPacketsPerInput; ++guard) {
+            const Cycle now = engine.now();
+            for (int i = 0; i < kInputs; ++i) {
+                if (auto cr = in[i].credit.take(now))
+                    credits[i].release(cr->vc);
+                if (next[i] >= queue[i].size())
+                    continue;
+                const PacketPtr &pkt = queue[i][next[i]];
+                const int vc = pkt->dst.ep / 2 % kVcs;
+                // A whole packet needs its credits before its head goes.
+                if (flit[i] == 0
+                    && credits[i].available(vc) < pkt->size_flits)
+                    continue;
+                Phit phit;
+                phit.pkt = pkt;
+                phit.vc = static_cast<std::uint8_t>(vc);
+                phit.index = flit[i];
+                phit.head = flit[i] == 0;
+                phit.tail = flit[i] + 1 == pkt->size_flits;
+                if (phit.head)
+                    credits[i].consume(vc, pkt->size_flits);
+                in[i].data.send(now, phit);
+                if (phit.tail) {
+                    flit[i] = 0;
+                    ++next[i];
+                } else {
+                    ++flit[i];
+                }
+            }
+            for (int o = 0; o < 2; ++o) {
+                if (auto cr = pending_credit[o]) {
+                    out[o].credit.send(now, *cr);
+                    pending_credit[o].reset();
+                }
+                if (auto phit = out[o].data.take(now)) {
+                    if (phit->head)
+                        grants.push_back({ now, 3 + o, phit->pkt->id });
+                    if (phit->tail)
+                        ++delivered;
+                    pending_credit[o] = Credit{ phit->vc };
+                }
+            }
+            engine.step();
+        }
+        EXPECT_EQ(delivered, kInputs * kPacketsPerInput);
+        return grants;
+    }
+
+    Engine engine;
+    Channel in[kInputs];
+    Channel out[2];
+    CreditCounter credits[kInputs];
+    std::vector<PacketPtr> queue[kInputs];
+    std::size_t next[kInputs] = {};
+    std::uint16_t flit[kInputs] = {};
+    std::optional<Credit> pending_credit[2];
+    std::unique_ptr<Router> router;
+};
+
+std::string
+grantLog(const std::vector<ContentionBench::Grant> &grants)
+{
+    std::string s;
+    for (const auto &g : grants) {
+        s += std::to_string(g.cycle) + ":" + std::to_string(g.out) + ":"
+             + std::to_string(g.id) + " ";
+    }
+    return s;
+}
+
+TEST(RouterUnit, Sa2ContentionGrantSequenceRoundRobin)
+{
+    // Pinned grant log, one "cycle:output:packet" per head flit leaving
+    // the router.
+    ContentionBench b(ArbPolicy::RoundRobin);
+    EXPECT_EQ(grantLog(b.run()),
+              "6:3:0 6:4:100 7:4:101 8:3:200 9:3:1 9:4:102 11:3:104 "
+              "12:3:202 12:4:3 13:3:103 14:3:2 15:4:5 16:4:4 17:3:201 "
+              "17:4:106 19:3:6 20:4:203 21:3:105 21:4:204 23:3:8 "
+              "23:4:205 24:3:206 24:4:107 25:3:7 25:4:108 27:3:110 "
+              "27:4:9 28:3:208 29:3:109 29:4:10 30:4:11 32:3:111 "
+              "34:4:210 36:3:207 38:4:209 39:4:211 ");
+}
+
+TEST(RouterUnit, Sa2ContentionGrantSequenceInverseWeighted)
+{
+    ContentionBench b(ArbPolicy::InverseWeighted);
+    // Uneven programmed weights so the accumulators, not the round-robin
+    // tie-break, decide most contended grants.
+    for (int o = 3; o < 5; ++o) {
+        auto &acc = b.router->outputArbiter(o)->accumulators();
+        for (int i = 0; i < ContentionBench::kInputs; ++i) {
+            acc.setWeight(i, 0, static_cast<std::uint32_t>(3 + 5 * i));
+            acc.setWeight(i, 1, static_cast<std::uint32_t>(17 - 6 * i));
+        }
+    }
+    EXPECT_EQ(grantLog(b.run()),
+              "6:3:200 6:4:100 7:3:0 7:4:101 9:3:202 9:4:102 10:3:2 "
+              "11:3:104 12:3:1 12:4:204 13:3:103 14:4:4 16:3:201 "
+              "16:4:3 18:4:203 19:4:106 20:3:105 20:4:5 21:4:205 "
+              "22:3:6 22:4:107 24:3:206 25:3:7 25:4:108 27:3:110 "
+              "28:3:208 28:4:9 29:3:109 30:3:8 31:4:11 32:4:10 "
+              "33:3:207 35:4:210 37:3:111 37:4:209 38:4:211 ");
 }
 
 TEST(RouterUnit, StallSamplerIdleRouterChargesNoInput)

@@ -4,6 +4,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
@@ -60,6 +63,60 @@ TEST(Wire, LongLatencyRoundTrip)
     EXPECT_FALSE(w.pending(61));
     ASSERT_TRUE(w.pending(62));
     EXPECT_EQ(w.take(62).value(), 99);
+}
+
+TEST(Wire, InFlightCountFollowsEveryPath)
+{
+    Wire<int> w(3, 2); // six ring slots
+    EXPECT_EQ(w.inFlight(), 0u);
+    EXPECT_FALSE(w.busy());
+    EXPECT_FALSE(w.take(0).has_value()); // empty poll
+
+    w.send(0, 10);
+    w.send(1, 11);
+    w.send(2, 12);
+    EXPECT_EQ(w.inFlight(), 3u);
+    EXPECT_TRUE(w.busy());
+    EXPECT_FALSE(w.take(2).has_value()); // nothing deliverable yet
+    EXPECT_EQ(w.inFlight(), 3u);
+    EXPECT_EQ(w.take(3).value(), 10);
+    EXPECT_EQ(w.inFlight(), 2u);
+
+    // Skip cycle 4: its value passes its delivery cycle untaken and stays
+    // in flight (and is not readable late).
+    EXPECT_EQ(w.take(5).value(), 12);
+    EXPECT_EQ(w.inFlight(), 1u);
+    EXPECT_TRUE(w.busy());
+    EXPECT_FALSE(w.pending(6));
+    EXPECT_FALSE(w.take(6).has_value());
+    EXPECT_EQ(w.inFlight(), 1u);
+
+    std::vector<std::pair<Cycle, int>> saved;
+    w.forEachSlot([&](Cycle at, int v) { saved.emplace_back(at, v); });
+    ASSERT_EQ(saved.size(), 1u);
+    EXPECT_EQ(saved[0], std::make_pair(Cycle{ 4 }, 11));
+
+    w.clearAll();
+    EXPECT_EQ(w.inFlight(), 0u);
+    EXPECT_FALSE(w.busy());
+    EXPECT_FALSE(w.take(4).has_value());
+
+    w.restoreSlot(saved[0].first, saved[0].second);
+    EXPECT_EQ(w.inFlight(), 1u);
+    EXPECT_TRUE(w.busy());
+    EXPECT_TRUE(w.pending(4));
+    EXPECT_EQ(w.take(4).value(), 11);
+    EXPECT_EQ(w.inFlight(), 0u);
+    EXPECT_FALSE(w.busy());
+
+    // Steady streaming across many ring wraps keeps the count exact.
+    for (Cycle t = 10; t < 100; ++t) {
+        w.send(t, static_cast<int>(t));
+        if (t >= 13) {
+            EXPECT_EQ(w.take(t).value(), static_cast<int>(t - 3));
+        }
+        EXPECT_EQ(w.inFlight(), t >= 12 ? 3u : t - 9);
+    }
 }
 
 /** A component that counts its ticks and relays values between two wires. */
