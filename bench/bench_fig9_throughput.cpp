@@ -147,6 +147,9 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
     return res;
 }
 
+/** The sweep runs batches 16, 64, 256, ... up to --maxbatch. */
+constexpr long kFirstBatch = 16;
+
 } // namespace
 
 int
@@ -164,8 +167,8 @@ main(int argc, char **argv)
     reg.add("--kz", "N", "torus Z radix (default 4)", &kz);
     reg.add("--cores", "N", "participating cores per node (default 8)",
             &cores);
-    reg.add("--maxbatch", "N", "largest batch size swept (default 512)",
-            &maxbatch);
+    reg.add("--maxbatch", "N",
+            "largest batch size swept, >= 16 (default 512)", &maxbatch);
     reg.add("--seed", "N", "simulation seed (default 12)", &seed);
     reg.add("--json", "PATH", "write the machine-readable report JSON",
             &json_path);
@@ -174,7 +177,8 @@ main(int argc, char **argv)
         return 1;
     if (!run.validate() || !bench::validateOutputPaths({ json_path })
         || !bench::validateCores(cores, kEndpointsPerNode)
-        || !bench::validateShape(kx, ky, kz, "--maxbatch", maxbatch))
+        || !bench::validateShape(kx, ky, kz, "--maxbatch", maxbatch,
+                                 kFirstBatch))
         return 1;
     const std::vector<int> radix{ static_cast<int>(kx),
                                   static_cast<int>(ky),
@@ -197,7 +201,8 @@ main(int argc, char **argv)
     std::string last_audit;
     std::string last_report;
     for (const char *pattern : { "2-hop", "uniform" }) {
-        for (std::uint64_t batch = 16; batch <= max_batch; batch *= 4) {
+        for (auto batch = static_cast<std::uint64_t>(kFirstBatch);
+             batch <= max_batch; batch *= 4) {
             // The telemetry snapshot (and the event trace / time series,
             // when enabled) comes from the largest batch of each sweep;
             // the last pattern's probe run wins the output files.

@@ -139,12 +139,13 @@ validateCores(long cores, int endpoints_per_node)
  * Reject a torus or batch the Machine-driving benches cannot run: every
  * radix must be >= 1 with at least two nodes in total (a lone node has
  * no torus traffic to measure), and the per-core batch flag
- * @p batch_flag (`--maxbatch`, `--batch`) must be >= 1. Prints the
- * first violation.
+ * @p batch_flag (`--maxbatch`, `--batch`) must be >= @p min_batch (a
+ * sweep passes its first batch size: a smaller maximum sweeps
+ * nothing). Prints the first violation.
  */
 inline bool
 validateShape(long kx, long ky, long kz, const char *batch_flag,
-              long batch)
+              long batch, long min_batch = 1)
 {
     if (kx < 1 || ky < 1 || kz < 1 || (kx == 1 && ky == 1 && kz == 1)) {
         std::fprintf(stderr,
@@ -153,9 +154,9 @@ validateShape(long kx, long ky, long kz, const char *batch_flag,
                      kx, ky, kz);
         return false;
     }
-    if (batch < 1) {
-        std::fprintf(stderr, "error: %s must be >= 1, got %ld\n",
-                     batch_flag, batch);
+    if (batch < min_batch) {
+        std::fprintf(stderr, "error: %s must be >= %ld, got %ld\n",
+                     batch_flag, min_batch, batch);
         return false;
     }
     return true;

@@ -398,11 +398,11 @@ Chip::loadState(CkptReader &r)
         ch->loadState(r);
     r.expect("chip.mcast");
     mcast_.clear();
-    std::uint32_t ngroups = r.u32();
+    const std::uint32_t ngroups = r.count(12);
     for (std::uint32_t g = 0; g < ngroups; ++g) {
         std::int32_t group = r.i32();
         McastNodeEntry entry;
-        std::uint32_t nfwd = r.u32();
+        const std::uint32_t nfwd = r.count(2);
         entry.forward.reserve(nfwd);
         for (std::uint32_t i = 0; i < nfwd; ++i) {
             McastHop hop;
@@ -410,7 +410,7 @@ Chip::loadState(CkptReader &r)
             hop.dir = static_cast<Dir>(r.i8());
             entry.forward.push_back(hop);
         }
-        std::uint32_t nlocal = r.u32();
+        const std::uint32_t nlocal = r.count(4);
         entry.local.reserve(nlocal);
         for (std::uint32_t i = 0; i < nlocal; ++i)
             entry.local.push_back(r.i32());

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "sim/thread_pool.hpp"
 #include "trace/chrome_trace.hpp"
 #include "trace/flight_record.hpp"
 
@@ -124,8 +125,14 @@ Machine::Machine(const MachineConfig &cfg)
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
             auto &ep = chip(n).endpoint(e);
+            const auto index = static_cast<std::uint32_t>(
+                flush_order_.size());
             flush_order_.push_back(&ep);
-            ep.setDeferredDelivery(true);
+            ep.setDeferredDelivery([this, index] {
+                const int lane = par::currentLane();
+                staged_[lane < 0 ? 0 : static_cast<std::size_t>(lane)]
+                    .push_back(index);
+            });
             ep.setDeliverFn([this](const PacketPtr &pkt, Cycle now) {
                 ++delivered_;
                 last_delivery_ = now;
@@ -200,14 +207,36 @@ Machine::serialPhase(Cycle now)
     // packet delivered this cycle must be applied before the delivery
     // closes its flight into the flow matrix.
     obs_.merge(now);
-    for (EndpointAdapter *ep : flush_order_)
+    // Visit only the endpoints holding staged deliveries, in
+    // flush_order_ order. Each lane recorded its endpoints as they
+    // staged a first delivery - cycle-major, not in endpoint order - so
+    // the window's list is sorted once, on the first cycle that adds
+    // to it.
+    bool added = false;
+    for (std::vector<std::uint32_t> &lane : staged_) {
+        if (lane.empty())
+            continue;
+        flushing_.insert(flushing_.end(), lane.begin(), lane.end());
+        lane.clear();
+        added = true;
+    }
+    if (added)
+        std::sort(flushing_.begin(), flushing_.end());
+    std::size_t keep = 0;
+    for (std::uint32_t index : flushing_) {
+        EndpointAdapter *ep = flush_order_[index];
         ep->flushDeliveries(now);
+        if (ep->hasPendingDeliveries())
+            flushing_[keep++] = index;
+    }
+    flushing_.resize(keep);
 }
 
 void
 Machine::setThreads(int n)
 {
     engine_.setThreads(n);
+    staged_.resize(engine_.laneCount());
     // One bucket per lane per cycle of the largest window the engine
     // may run (the lane count changes only here; the cap never does).
     obs_.configure(engine_.laneCount(),
@@ -804,10 +833,10 @@ Machine::doEnableFlows(const FlowProbeConfig &cfg)
         return *flow_;
     flow_ = std::make_unique<FlowProbe>(cfg);
     obs_.attachFlows(*flow_);
+    // Unlike tracing's stall samplers, hop records are emitted only
+    // when flits actually move, so idle components still sleep.
     for (auto &c : chips_)
         c->bindObservers(obs_);
-    // Unlike tracing's stall samplers, hop records are emitted only
-    // when flits actually move, so idle shards may still be skipped.
     return *flow_;
 }
 
@@ -826,12 +855,11 @@ Machine::doEnableTracing(const TraceConfig &cfg)
     trace_ = std::make_unique<RingTraceSink>(cfg.capacity);
     trace_->setSampleStride(cfg.sample);
     obs_.attachTrace(*trace_);
+    // Binding also starts every router's stall sampler, which keeps the
+    // router awake: per-port class totals must sum to the sampled cycle
+    // count, idle cycles included.
     for (auto &c : chips_)
         c->bindObservers(obs_);
-    // Stall attribution classifies every router output port every cycle
-    // (per-port class totals must sum to the sampled cycle count), so
-    // idle shards cannot be skipped while tracing is bound.
-    engine_.setIdleSkip(false);
     return *trace_;
 }
 

@@ -547,7 +547,8 @@ class Machine
     /** Per-cycle post-barrier work: merge the observer bus's staged
      * records, then run deferred delivery side effects in endpoint
      * registration order (so a cycle's hop records land before the
-     * deliveries that close those packets' flights). */
+     * deliveries that close those packets' flights), visiting only the
+     * endpoints that hold some. */
     void serialPhase(Cycle now);
     void prepareUnicast(Packet &pkt);
     /** Pooled packet allocation: recycles Packet objects (and their
@@ -585,6 +586,12 @@ class Machine
     /** Every endpoint in registration order - the canonical delivery
      * flush order (chip-major, endpoint-minor). */
     std::vector<EndpointAdapter *> flush_order_;
+    /** Per engine lane: flush_order_ indices of the endpoints that
+     * staged a first delivery during the parallel phase. */
+    std::vector<std::vector<std::uint32_t>> staged_;
+    /** Endpoints the serial flush visits, ascending flush_order_ index
+     * (empty again once a window's deliveries are all flushed). */
+    std::vector<std::uint32_t> flushing_;
 
     std::uint64_t next_packet_id_ = 1;
     std::int32_t next_group_ = 0;

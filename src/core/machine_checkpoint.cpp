@@ -86,10 +86,10 @@ Machine::unregisterCheckpointClients(const void *owner)
 void
 Machine::saveCheckpoint(const std::string &path)
 {
-    // Parked shards hold stale idle state; replay it so every
-    // component's members reflect the current cycle. Idle-skip replay
-    // is bit-exact with per-cycle ticking, so this perturbs nothing.
-    engine_.flushParking();
+    // Sleeping components hold stale idle state; replay it so every
+    // component's members reflect the current cycle. Idle replay is
+    // bit-exact with per-cycle ticking, so this perturbs nothing.
+    engine_.wakeAll();
 
     CkptWriter w;
     w.tag("machine");
@@ -133,9 +133,9 @@ Machine::saveCheckpoint(const std::string &path)
 void
 Machine::restoreCheckpoint(const std::string &path)
 {
-    // Forget parking bookkeeping tied to the pre-restore clock; the
-    // next advance() re-probes from the restored state.
-    engine_.flushParking();
+    // Settle the sleepers against the pre-restore clock and wake
+    // everything: the restored state may give any component work.
+    engine_.wakeAll();
 
     CkptReader r(path, configFingerprint(),
                  [this] { return allocPacket(); });
@@ -147,7 +147,7 @@ Machine::restoreCheckpoint(const std::string &path)
     rng_.setState(rng_state);
     next_packet_id_ = r.u64();
     next_group_ = r.i32();
-    group_slices_.resize(r.u32());
+    group_slices_.resize(r.count(1));
     for (auto &s : group_slices_)
         s = r.u8();
     mcast_sends_ = r.u64();

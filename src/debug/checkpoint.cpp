@@ -220,12 +220,12 @@ CkptReader::CkptReader(const std::string &path,
 
     // Materialize the packet table; every later packetRef resolves to
     // the same shared object, reproducing cut-through sharing.
-    const std::uint32_t count = u32();
-    if (count > 0 && alloc == nullptr)
+    const std::uint32_t packets = count(1);
+    if (packets > 0 && alloc == nullptr)
         throw CheckpointError("checkpoint: packet table present but no "
                               "packet allocator provided");
-    packets_.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
+    packets_.reserve(packets);
+    for (std::uint32_t i = 0; i < packets; ++i) {
         PacketPtr p = alloc();
         ckptDecodePacket(*this, *p);
         packets_.push_back(std::move(p));
@@ -274,6 +274,16 @@ CkptReader::f64()
     double v;
     std::memcpy(&v, &bits, sizeof(v));
     return v;
+}
+
+std::uint32_t
+CkptReader::count(std::size_t item_bytes)
+{
+    const std::uint32_t n = u32();
+    if (n > (end_ - pos_) / item_bytes)
+        throw CheckpointError("checkpoint: element count " + std::to_string(n)
+                              + " exceeds the payload");
+    return n;
 }
 
 std::string
@@ -371,17 +381,17 @@ ckptDecodePacket(CkptReader &r, Packet &p)
     p.op = static_cast<OpKind>(r.u8());
     p.pattern = r.u8();
     p.size_flits = r.u16();
-    p.payload.resize(r.u32());
+    p.payload.resize(r.count(sizeof(FlitPayload)));
     for (FlitPayload &f : p.payload)
         for (std::uint64_t &word : f)
             word = r.u64();
     p.counter = r.i32();
     p.mcast_group = r.i32();
-    p.route.order.resize(r.u32());
+    p.route.order.resize(r.count(4));
     for (int &d : p.route.order)
         d = r.i32();
     p.route.slice = r.u8();
-    p.route.dirs.resize(r.u32());
+    p.route.dirs.resize(r.count(1));
     for (Dir &d : p.route.dirs)
         d = static_cast<Dir>(static_cast<std::int8_t>(r.u8()));
     const auto policy = static_cast<VcPolicy>(r.u8());

@@ -123,6 +123,15 @@ class CkptReader
     Cycle cycle() { return u64(); }
     std::string str();
 
+    /**
+     * Read a u32 element count whose elements take at least
+     * @p item_bytes (>= 1) each in the stream, and reject it unless
+     * that many fit in the rest of the payload: a corrupt length can
+     * then neither size a huge allocation nor run the decode far past
+     * the end.
+     */
+    std::uint32_t count(std::size_t item_bytes);
+
     /** Validate a section marker written by CkptWriter::tag. */
     void expect(const char *name);
 

@@ -32,6 +32,7 @@ void
 ChannelAdapter::connectRouterIn(Channel &ch)
 {
     router_in_ = &ch;
+    ch.data.setReceiver(*this);
 }
 
 void
@@ -39,6 +40,7 @@ ChannelAdapter::connectRouterOut(Channel &ch, int router_buf_flits)
 {
     router_out_ = &ch;
     router_credits_.init(cfg_.num_vcs, router_buf_flits);
+    ch.credit.setReceiver(*this);
 }
 
 void
@@ -46,12 +48,15 @@ ChannelAdapter::connectTorusOut(Channel &ch, int peer_buf_flits)
 {
     torus_out_ = &ch;
     torus_credits_.init(cfg_.num_vcs, peer_buf_flits);
+    // The peer adapter sits on another node, i.e. another shard.
+    ch.credit.setReceiver(*this, WakePath::Remote);
 }
 
 void
 ChannelAdapter::connectTorusIn(Channel &ch)
 {
     torus_in_ = &ch;
+    ch.data.setReceiver(*this, WakePath::Remote);
 }
 
 InverseWeightedArbiter *
@@ -336,6 +341,20 @@ ChannelAdapter::tick(Cycle now)
 {
     tickEgress(now);
     tickIngress(now);
+    if (egress_packets_ == 0 && ingress_packets_ == 0
+        && pending_credits_.empty() && !wiresBusy())
+        sleep(now);
+}
+
+bool
+ChannelAdapter::wiresBusy() const
+{
+    for (const Channel *ch : { router_in_, router_out_, torus_in_,
+                               torus_out_ }) {
+        if (ch != nullptr && ch->busy())
+            return true;
+    }
+    return false;
 }
 
 void
@@ -343,8 +362,8 @@ ChannelAdapter::onIdleSkip(Cycle skipped)
 {
     // Mirror the accrual tickEgress would have run on each skipped
     // cycle: +ser_tokens_per_cycle, capped at one flit plus one cycle's
-    // worth (an idle adapter never passes the egress_packets_ gate, so
-    // nothing else in tick() touches state).
+    // worth (a sleeping adapter holds no packets, so nothing else in
+    // tick() touches state).
     if (router_in_ == nullptr || torus_out_ == nullptr)
         return;
     const int cap = cfg_.ser_tokens_per_flit + cfg_.ser_tokens_per_cycle;
@@ -520,7 +539,7 @@ ChannelAdapter::loadState(CkptReader &r)
     if (heads != ingress_heads_.size())
         throw CheckpointError("checkpoint: adapter VC count mismatch");
     for (IngressEntry &e : ingress_heads_) {
-        e.copies.resize(r.u32());
+        e.copies.resize(r.count(5));
         for (IngressCopy &c : e.copies) {
             c.pkt = r.packetRef();
             c.vc = r.u8();
@@ -538,7 +557,7 @@ ChannelAdapter::loadState(CkptReader &r)
     ingress_arb_->loadState(r);
     ingress_busy_ = r.b();
     ingress_vc_ = r.i32();
-    pending_credits_.resize(r.u32());
+    pending_credits_.resize(r.count(1));
     for (std::uint8_t &c : pending_credits_)
         c = r.u8();
     flits_sent_ = r.u64();
@@ -568,14 +587,7 @@ ChannelAdapter::busy() const
         if (!vc.empty())
             return true;
     }
-    if (!pending_credits_.empty())
-        return true;
-    for (const Channel *ch : { router_in_, router_out_, torus_in_,
-                               torus_out_ }) {
-        if (ch != nullptr && ch->busy())
-            return true;
-    }
-    return false;
+    return !pending_credits_.empty() || wiresBusy();
 }
 
 } // namespace anton2

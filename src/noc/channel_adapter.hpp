@@ -100,7 +100,7 @@ class ChannelAdapter final : public Component
     bool busy() const override;
     /** The one piece of state that evolves while idle: SerDes token
      * accrual (capped at one flit plus one cycle's worth). Replayed here
-     * so idle shard parking stays bit-exact. */
+     * when the adapter wakes, so sleeping stays bit-exact. */
     void onIdleSkip(Cycle skipped) override;
 
     InverseWeightedArbiter *egressArbiter();
@@ -219,6 +219,8 @@ class ChannelAdapter final : public Component
 
     void tickEgress(Cycle now);
     void tickIngress(Cycle now);
+    /** Any of the four attached channels carrying a phit or credit. */
+    bool wiresBusy() const;
 
     /** Queue one torus-link credit for VC @p vc (drained one per cycle). */
     void

@@ -21,18 +21,21 @@ EndpointAdapter::connectRouterOut(Channel &ch, int router_buf_flits)
 {
     to_router_ = &ch;
     router_credits_.init(cfg_.num_vcs, router_buf_flits);
+    ch.credit.setReceiver(*this);
 }
 
 void
 EndpointAdapter::connectRouterIn(Channel &ch)
 {
     from_router_ = &ch;
+    ch.data.setReceiver(*this);
 }
 
 void
 EndpointAdapter::inject(const PacketPtr &pkt)
 {
     inject_q_[static_cast<int>(pkt->tc)].push_back(pkt);
+    wake();
 }
 
 std::size_t
@@ -182,10 +185,13 @@ EndpointAdapter::tickEject(Cycle now)
     // count, surfaced as the flight record's `hops` column.
     tracePacketEvent(obs_, TraceUnitKind::Endpoint, TraceEventType::Eject,
                      now, pkt->id, pkt->hops, phit->vc);
-    if (defer_deliveries_)
+    if (on_staged_) {
+        if (pending_.empty())
+            on_staged_();
         pending_.push_back({ std::move(pkt), head_at, now });
-    else
+    } else {
         deliverSideEffects(pkt, head_at, now);
+    }
 }
 
 void
@@ -265,6 +271,10 @@ EndpointAdapter::tick(Cycle now)
 {
     tickInject(now);
     tickEject(now);
+    // Staged deliveries do not keep an endpoint awake: the serial
+    // flush drains them whether it sleeps or not.
+    if (!busy())
+        sleep(now);
 }
 
 int
@@ -346,7 +356,7 @@ EndpointAdapter::loadState(CkptReader &r)
         router_credits_.loadState(r);
     for (auto &q : inject_q_) {
         q.clear();
-        const std::uint32_t n = r.u32();
+        const std::uint32_t n = r.count(4);
         for (std::uint32_t i = 0; i < n; ++i)
             q.push_back(r.packetRef());
     }
@@ -362,7 +372,7 @@ EndpointAdapter::loadState(CkptReader &r)
         s.head_at = r.cycle();
     }
     counters_.clear();
-    const std::uint32_t armed = r.u32();
+    const std::uint32_t armed = r.count(8);
     for (std::uint32_t i = 0; i < armed; ++i) {
         const std::int32_t counter = r.i32();
         counters_[counter] = r.i32();

@@ -77,10 +77,12 @@ class EndpointAdapter final : public Component
     bool busy() const override;
 
     /**
-     * Queue a packet for injection. The packet must have its route fields
-     * (route, vc policy, chip_exit) prepared; Machine::preparePacket does
-     * this. Injection queues model software send descriptors and are
-     * unbounded; drivers use injectQueueDepth() for self-throttling.
+     * Queue a packet for injection (and wake the adapter). The packet
+     * must have its route fields (route, vc policy, chip_exit) prepared;
+     * Machine::preparePacket does this. Injection queues model software
+     * send descriptors and are unbounded; drivers use injectQueueDepth()
+     * for self-throttling. Call between cycles, not from another
+     * shard's tick.
      */
     void inject(const PacketPtr &pkt);
 
@@ -94,12 +96,19 @@ class EndpointAdapter final : public Component
      * The side effects touch machine-global state (shared ScalarStats,
      * the machine RNG via the packet factory, software handlers), so a
      * Machine - whose engine may tick chips on several threads - turns
-     * this on and drains every endpoint from the engine's serial phase
+     * this on and drains the endpoints from the engine's serial phase
      * in registration order; that one canonical order is what makes
-     * threaded runs byte-identical to serial ones. Standalone adapters
-     * (unit tests) keep the default inline dispatch.
+     * threaded runs byte-identical to serial ones. tick() calls
+     * @p on_staged (on the ticking lane) whenever it stages a delivery
+     * while none is staged, so the flush can visit only endpoints that
+     * hold some. Standalone adapters (unit tests) keep the default
+     * inline dispatch.
      */
-    void setDeferredDelivery(bool on) { defer_deliveries_ = on; }
+    void
+    setDeferredDelivery(std::function<void()> on_staged)
+    {
+        on_staged_ = std::move(on_staged);
+    }
 
     /**
      * Run the deferred side effects of every packet that finished
@@ -216,7 +225,7 @@ class EndpointAdapter final : public Component
         Cycle at = 0;
     };
     std::vector<PendingDelivery> pending_;
-    bool defer_deliveries_ = false;
+    std::function<void()> on_staged_; ///< set: deliveries are deferred
 
     std::unordered_map<std::int32_t, int> counters_;
 

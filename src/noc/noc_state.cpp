@@ -61,9 +61,15 @@ loadWire(CkptReader &r, Wire<T> &wire, Dec &&dec)
         throw CheckpointError("checkpoint: wire ring size mismatch "
                               "(different lookahead slack at save time)");
     wire.clearAll();
-    const std::uint32_t n = r.u32();
+    // Slots were saved in ring order, so a valid image names strictly
+    // increasing ring slots - never one twice.
+    const std::uint32_t n = r.count(8);
+    std::uint64_t next_slot = 0;
     for (std::uint32_t i = 0; i < n; ++i) {
         const Cycle at = r.cycle();
+        if (at % ring < next_slot)
+            throw CheckpointError("checkpoint: wire slots out of order");
+        next_slot = at % ring + 1;
         wire.restoreSlot(at, dec(r));
     }
 }
@@ -144,7 +150,7 @@ VcBuffer::loadState(CkptReader &r)
     r.expect("vcbuf");
     capacity_ = r.i32();
     occupancy_ = r.i32();
-    entries_.resize(r.u32());
+    entries_.resize(r.count(48)); // the encoded size of one Entry
     for (Entry &e : entries_) {
         e.pkt = r.packetRef();
         e.arrived = r.u16();

@@ -94,12 +94,15 @@ Router::enableStallSampling()
 {
     if (stalls_ == nullptr)
         stalls_ = std::make_unique<RouterStallSampler>(cfg_.num_ports);
+    // The sampler owes every cycle from now on: stay awake.
+    wake();
 }
 
 void
 Router::connectIn(int port, Channel &ch)
 {
     in_[static_cast<std::size_t>(port)].ch = &ch;
+    ch.data.setReceiver(*this);
 }
 
 void
@@ -108,6 +111,7 @@ Router::connectOut(int port, Channel &ch, int downstream_buf_flits)
     auto &op = out_[static_cast<std::size_t>(port)];
     op.ch = &ch;
     op.credits.init(cfg_.num_vcs, downstream_buf_flits);
+    ch.credit.setReceiver(*this);
 }
 
 InverseWeightedArbiter *
@@ -425,8 +429,11 @@ Router::tick(Cycle now)
     if (buffered_packets_ == 0) {
         // Nothing buffered: the pipeline stages have no work, but the
         // stall sampler still owes this cycle (all ports: no input).
+        // Without one, an idle router whose wires are quiet sleeps.
         if (stalls_ != nullptr)
             sampleStalls();
+        else if (!wiresBusy())
+            sleep(now);
         return;
     }
     if (metrics_ != nullptr) {
@@ -473,6 +480,20 @@ Router::rebuildWorkMasks(InPort &ip)
         if (!vc.empty() && vc.head().va_done && !vc.head().granted)
             ip.sa_work |= bit;
     }
+}
+
+bool
+Router::wiresBusy() const
+{
+    for (const auto &ip : in_) {
+        if (ip.ch != nullptr && ip.ch->busy())
+            return true;
+    }
+    for (const auto &op : out_) {
+        if (op.ch != nullptr && op.ch->busy())
+            return true;
+    }
+    return false;
 }
 
 bool

@@ -109,7 +109,7 @@ class Router final : public Component
      * Start classifying every connected output port's cycles into stall
      * classes (see StallClass). Idempotent; totals accumulate from the
      * first call, and for each connected port the class totals sum
-     * exactly to the cycles sampled.
+     * exactly to the cycles sampled. A sampling router never sleeps.
      */
     void enableStallSampling();
 
@@ -206,6 +206,8 @@ class Router final : public Component
     void stageSa2(Cycle now);
     void stageSt(Cycle now);
     void sampleStalls();
+    /** Any attached channel carrying a phit or credit. */
+    bool wiresBusy() const;
     static void rebuildWorkMasks(InPort &ip);
 
     RouterConfig cfg_;

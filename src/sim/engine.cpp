@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <bit>
 #include <cassert>
 
 #include "sim/thread_pool.hpp"
@@ -31,6 +32,7 @@ Engine::newShard()
 {
     shards_.emplace_back();
     lanes_dirty_ = true;
+    activity_dirty_ = true;
     return shards_.size() - 1;
 }
 
@@ -39,9 +41,81 @@ Engine::addSharded(std::size_t shard, Component &c, TickFn fn,
                    HostCompClass cls)
 {
     assert(shard < shards_.size() && "newShard() first");
-    shards_[shard].push_back(
+    shards_[shard].entries.push_back(
         { &c, fn != nullptr ? fn : &virtualTick, cls });
     class_runs_dirty_ = true;
+    activity_dirty_ = true;
+}
+
+void
+Engine::bindActivity()
+{
+    // Registration may follow a run: settle every sleeper against the
+    // old masks before they are rebuilt.
+    wakeAll();
+    activity_dirty_ = false;
+    std::size_t words = 0;
+    for (Shard &shard : shards_) {
+        const std::size_t n = shard.entries.size();
+        shard.awake.assign((n + 63) / 64, ~std::uint64_t{ 0 });
+        if (n % 64 != 0)
+            shard.awake.back() = (std::uint64_t{ 1 } << (n % 64)) - 1;
+        shard.inbox = words;
+        words += shard.awake.size();
+    }
+    inbox_ = std::make_unique<std::atomic<std::uint64_t>[]>(words); // zeroed
+    for (Shard &shard : shards_) {
+        for (std::size_t i = 0; i < shard.entries.size(); ++i) {
+            Component::Activity &act = shard.entries[i].c->act_;
+            act.awake = &shard.awake[i / 64];
+            act.inbox = &inbox_[shard.inbox + i / 64];
+            act.bit = std::uint64_t{ 1 } << (i % 64);
+            act.slept_at = kNoCycle;
+        }
+    }
+}
+
+void
+Engine::foldInbox()
+{
+    for (Shard &shard : shards_) {
+        for (std::size_t k = 0; k < shard.awake.size(); ++k) {
+            std::atomic<std::uint64_t> &word = inbox_[shard.inbox + k];
+            if (word.load(std::memory_order_relaxed) != 0)
+                shard.awake[k] |=
+                    word.exchange(0, std::memory_order_relaxed);
+        }
+    }
+}
+
+void
+Engine::wakeAll()
+{
+    if (inbox_ == nullptr)
+        return; // never bound: everything is awake
+    foldInbox();
+    for (Shard &shard : shards_) {
+        for (const Entry &e : shard.entries) {
+            if (e.c->act_.awake == nullptr)
+                continue; // registered after the last bind
+            if (e.c->act_.slept_at != kNoCycle)
+                e.c->resume(now_);
+            e.c->wake();
+        }
+    }
+}
+
+std::size_t
+Engine::awakeCount() const
+{
+    if (activity_dirty_)
+        return componentCount() - components_.size();
+    std::size_t n = 0;
+    for (const Shard &shard : shards_) {
+        for (std::uint64_t w : shard.awake)
+            n += static_cast<std::size_t>(std::popcount(w));
+    }
+    return n;
 }
 
 void
@@ -115,8 +189,8 @@ Engine::rebuildClassRuns()
     class_runs_.assign(shards_.size(), {});
     for (std::size_t s = 0; s < shards_.size(); ++s) {
         auto &runs = class_runs_[s];
-        for (std::size_t i = 0; i < shards_[s].size(); ++i) {
-            const HostCompClass cls = shards_[s][i].cls;
+        for (std::size_t i = 0; i < shards_[s].entries.size(); ++i) {
+            const HostCompClass cls = shards_[s].entries[i].cls;
             if (runs.empty() || runs.back().cls != cls)
                 runs.push_back({ i + 1, cls });
             else
@@ -147,27 +221,37 @@ Engine::addBarrierAlignment(Cycle period, Cycle phase)
 }
 
 void
-Engine::setIdleSkip(bool on)
-{
-    idle_skip_ = on;
-}
-
-void
 Engine::tickShardRange(std::size_t begin, std::size_t end, Cycle start,
                        Cycle window)
 {
-    const bool parking = !parked_.empty();
     for (std::size_t s = begin; s < end; ++s) {
-        if (parking && parked_[s])
+        Shard &shard = shards_[s];
+        // Only this shard's components can set its awake bits during
+        // the window, so a shard asleep now sleeps through it.
+        std::uint64_t any = 0;
+        for (std::uint64_t w : shard.awake)
+            any |= w;
+        if (any == 0)
             continue;
-        const auto &shard = shards_[s];
-        // Cycle-major within the shard: all of a shard's components tick
-        // cycle c before any ticks c+1, exactly the serial schedule, so
-        // intra-shard latency-1 wires behave as in a window-1 run.
+        // Cycle-major within the shard: all of a shard's awake
+        // components tick cycle c before any ticks c+1, exactly the
+        // serial schedule, so intra-shard latency-1 wires behave as in
+        // a window-1 run. A component woken during cycle c ticks from
+        // c (if its word is read after the wake) or c+1; either way its
+        // idle replay makes the two indistinguishable.
         for (Cycle j = 0; j < window; ++j) {
             const Cycle c = start + j;
-            for (const Entry &e : shard)
-                e.fn(*e.c, c);
+            for (std::size_t k = 0; k < shard.awake.size(); ++k) {
+                for (std::uint64_t m = shard.awake[k]; m != 0; m &= m - 1) {
+                    const Entry &e =
+                        shard.entries[k * 64
+                                      + static_cast<std::size_t>(
+                                          std::countr_zero(m))];
+                    if (e.c->act_.slept_at != kNoCycle) [[unlikely]]
+                        e.c->resume(c);
+                    e.fn(*e.c, c);
+                }
+            }
         }
     }
 }
@@ -176,12 +260,14 @@ void
 Engine::tickShardRangeProfiled(std::size_t begin, std::size_t end,
                                Cycle start, Cycle window)
 {
-    const bool parking = !parked_.empty();
     const int lane = par::currentLane() >= 0 ? par::currentLane() : 0;
     for (std::size_t s = begin; s < end; ++s) {
-        if (parking && parked_[s])
+        Shard &shard = shards_[s];
+        std::uint64_t any = 0;
+        for (std::uint64_t w : shard.awake)
+            any |= w;
+        if (any == 0)
             continue;
-        const auto &shard = shards_[s];
         const auto &runs = class_runs_[s];
         std::int64_t cls_ns[kNumHostCompClasses] = {};
         // Chained reads: each run's segment ends where the next begins,
@@ -189,18 +275,29 @@ Engine::tickShardRangeProfiled(std::size_t begin, std::size_t end,
         // further by only running on the profiler's sampled windows.
         std::int64_t t = prof_detail::nowNs();
         const std::int64_t t_shard = t;
+        auto closeRun = [&](const ClassRun &run) {
+            const std::int64_t t2 = prof_detail::nowNs();
+            cls_ns[static_cast<std::size_t>(run.cls)] += t2 - t;
+            t = t2;
+        };
         for (Cycle j = 0; j < window; ++j) {
             const Cycle c = start + j;
-            std::size_t i = 0;
-            for (const ClassRun &run : runs) {
-                for (; i < run.end; ++i) {
-                    const Entry &e = shard[i];
+            std::size_t r = 0;
+            for (std::size_t k = 0; k < shard.awake.size(); ++k) {
+                for (std::uint64_t m = shard.awake[k]; m != 0; m &= m - 1) {
+                    const std::size_t i =
+                        k * 64
+                        + static_cast<std::size_t>(std::countr_zero(m));
+                    while (i >= runs[r].end)
+                        closeRun(runs[r++]);
+                    const Entry &e = shard.entries[i];
+                    if (e.c->act_.slept_at != kNoCycle) [[unlikely]]
+                        e.c->resume(c);
                     e.fn(*e.c, c);
                 }
-                const std::int64_t t2 = prof_detail::nowNs();
-                cls_ns[static_cast<std::size_t>(run.cls)] += t2 - t;
-                t = t2;
             }
+            for (; r < runs.size(); ++r)
+                closeRun(runs[r]);
         }
         profiler_->shardSampleNs(s, t - t_shard);
         for (std::size_t c = 0; c < kNumHostCompClasses; ++c) {
@@ -226,54 +323,6 @@ Engine::alignedWindow(Cycle w) const
     return w;
 }
 
-void
-Engine::refreshParking()
-{
-    if (parked_.size() != shards_.size()) {
-        unparkAll();
-        parked_.assign(shards_.size(), 0);
-        parked_since_.assign(shards_.size(), 0);
-    }
-    for (std::size_t s = 0; s < shards_.size(); ++s) {
-        bool idle = true;
-        for (const Entry &e : shards_[s]) {
-            if (e.c->busy()) {
-                idle = false;
-                break;
-            }
-        }
-        if (idle) {
-            if (!parked_[s]) {
-                parked_[s] = 1;
-                parked_since_[s] = now_;
-            }
-        } else if (parked_[s]) {
-            parked_[s] = 0;
-            const Cycle skipped = now_ - parked_since_[s];
-            if (skipped > 0) {
-                for (const Entry &e : shards_[s])
-                    e.c->onIdleSkip(skipped);
-            }
-        }
-    }
-}
-
-void
-Engine::unparkAll()
-{
-    for (std::size_t s = 0; s < parked_.size(); ++s) {
-        if (!parked_[s])
-            continue;
-        const Cycle skipped = now_ - parked_since_[s];
-        if (skipped > 0) {
-            for (const Entry &e : shards_[s])
-                e.c->onIdleSkip(skipped);
-        }
-    }
-    parked_.clear();
-    parked_since_.clear();
-}
-
 Cycle
 Engine::advance(Cycle budget)
 {
@@ -281,6 +330,8 @@ Engine::advance(Cycle budget)
         return 0;
     if (lanes_dirty_) [[unlikely]]
         rebuildLanes();
+    if (activity_dirty_) [[unlikely]]
+        bindActivity();
     Cycle w = window_ < budget ? window_ : budget;
     if (!alignments_.empty())
         w = alignedWindow(w);
@@ -293,18 +344,6 @@ Engine::advance(Cycle budget)
             rebuildClassRuns();
         sampled = profiler_->windowBegin(now, w);
     }
-
-    // Parking probes happen at barrier boundaries, never more than a
-    // full window apart, which is exactly the horizon within which a
-    // cross-shard arrival is still in its wire's ring (and thus visible
-    // to the busy() probe before the shard must consume it). At window 1
-    // the probe would cost more than the barrier it saves, and window 1
-    // is the exact-legacy mode, so parking engages only beyond it.
-    const bool parking = idle_skip_ && window_ > 1;
-    if (parking)
-        refreshParking();
-    else if (!parked_.empty())
-        unparkAll();
 
     if (pool_ != nullptr) {
         if (prof) [[unlikely]] {
@@ -351,6 +390,7 @@ Engine::advance(Cycle budget)
     }
     if (prof) [[unlikely]]
         profiler_->barrierDone();
+    foldInbox();
 
     // Serial replay: for each cycle of the window, in order, the phase
     // hooks (staged-trace merge, deferred-delivery flush) then the
@@ -380,10 +420,22 @@ Engine::run(Cycle cycles)
 bool
 Engine::busy() const
 {
-    for (const auto &shard : shards_) {
-        for (const Entry &e : shard) {
-            if (e.c->busy())
-                return true;
+    for (const Shard &shard : shards_) {
+        if (activity_dirty_) {
+            // Registered since the last advance: all awake.
+            for (const Entry &e : shard.entries) {
+                if (e.c->busy())
+                    return true;
+            }
+            continue;
+        }
+        for (std::size_t k = 0; k < shard.awake.size(); ++k) {
+            for (std::uint64_t m = shard.awake[k]; m != 0; m &= m - 1) {
+                const std::size_t i =
+                    k * 64 + static_cast<std::size_t>(std::countr_zero(m));
+                if (shard.entries[i].c->busy())
+                    return true;
+            }
         }
     }
     for (const auto *c : components_) {
@@ -397,8 +449,8 @@ std::size_t
 Engine::componentCount() const
 {
     std::size_t n = components_.size();
-    for (const auto &shard : shards_)
-        n += shard.size();
+    for (const Shard &shard : shards_)
+        n += shard.entries.size();
     return n;
 }
 

@@ -25,6 +25,19 @@
  *    >= k-1 (see Wire) because sender and receiver may be up to k-1
  *    cycles apart within a window.
  *
+ * Within a shard, only components with work are ticked. A component
+ * that ends a tick holding nothing, with no wire attached to it
+ * carrying anything, may put itself to sleep (Component::sleep); a send
+ * on any wire into it wakes it again. A wake from the same shard sets
+ * its bit in the shard's awake mask directly; a wake across shards (a
+ * torus wire, sent from another lane) goes to the shard's inbox, which
+ * the engine folds into the mask after the window's barrier - in time,
+ * because the wire's latency is at least the window. Host code that
+ * hands a component work between cycles wakes it too. The first tick
+ * after a wake replays the skipped cycles through
+ * Component::onIdleSkip, so sleeping is exact at every window,
+ * window 1 included, and no export depends on who slept.
+ *
  * Work whose side effects escape a shard (shared statistics, packet
  * factories drawing from the machine RNG, software handlers) runs in the
  * *serial phase*: after the barrier, for each cycle of the window in
@@ -47,7 +60,9 @@
  */
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -106,7 +121,8 @@ class Engine
     /** Register @p c into shard @p shard (see TickFn for @p fn). The
      * class tag @p cls feeds the profiler's sampled attribution pass
      * (and nothing else); registrars that know the concrete type pass
-     * it alongside the devirtualized thunk. */
+     * it alongside the devirtualized thunk. A sharded component starts
+     * awake and may sleep (Component::sleep). */
     void addSharded(std::size_t shard, Component &c, TickFn fn = nullptr,
                     HostCompClass cls = HostCompClass::Other);
 
@@ -150,26 +166,12 @@ class Engine
     void addBarrierAlignment(Cycle period, Cycle phase);
 
     /**
-     * Park shards whose components are all !busy: a parked shard is not
-     * ticked until a probe at a window boundary sees it busy again
-     * (arrivals from other shards are in a wire's ring, and wire
-     * occupancy counts as busy, so the probe fires at least a full
-     * window before the shard must consume anything). Idle-state
-     * evolution is replayed through Component::onIdleSkip on unpark.
-     * Only active with window > 1; default on. Turn off when per-cycle
-     * observation of idle components matters (stall attribution counts
-     * idle cycles, so Machine disables parking while tracing is bound).
-     */
-    void setIdleSkip(bool on);
-    bool idleSkip() const { return idle_skip_; }
-
-    /**
      * Attach (or detach with null) the host self-profiler. Not owned.
      * With a profiler attached, advance() brackets each window with
      * timestamp hooks and, on the profiler's sampled windows, takes a
      * tick variant that additionally times each shard and its
      * contiguous component-class runs. The schedule itself - tick
-     * order, parking, staging, serial replay - is untouched, so every
+     * order, sleep/wake, staging, serial replay - is untouched, so every
      * deterministic export stays byte-identical with profiling on or
      * off. With no profiler (the default), the pre-existing paths run
      * unchanged and zero profiling clock reads happen.
@@ -225,17 +227,23 @@ class Engine
         return done();
     }
 
-    /** True if any registered component reports buffered work. */
+    /** True if any registered component reports buffered work (only
+     * awake components are asked: a sleeping one is never busy). */
     bool busy() const;
 
     /**
-     * Replay idle evolution for every parked shard and forget the
-     * parking state, so every component's members reflect cycle now().
-     * Checkpointing calls this before serializing; the next advance()
-     * re-probes parking from scratch. Non-perturbing: idle-skip replay
-     * is defined to be bit-exact with per-cycle ticking.
+     * Wake every sharded component, replaying each sleeper's idle span
+     * first, so every component's members reflect cycle now().
+     * Checkpoint save calls this before serializing and restore before
+     * loading. Non-perturbing: idle replay is bit-exact with per-cycle
+     * ticking, and a woken idle component goes back to sleep after its
+     * next tick.
      */
-    void flushParking() { unparkAll(); }
+    void wakeAll();
+
+    /** Sharded components the next window will tick (between windows;
+     * serial-tail components are not counted). */
+    std::size_t awakeCount() const;
 
     /**
      * Reinstate the simulation clock from a checkpoint. Only valid
@@ -252,6 +260,21 @@ class Engine
         Component *c;
         TickFn fn;
         HostCompClass cls;
+    };
+
+    /**
+     * One shard: its components in registration order and the mask of
+     * those still ticked (bit i % 64 of word i / 64: entries[i] is
+     * awake).
+     * Only the shard's own lane writes the mask inside a window
+     * (same-shard wakes and the components' own sleeps); cross-shard
+     * wakes go through the shard's inbox words instead.
+     */
+    struct Shard
+    {
+        std::vector<Entry> entries;
+        std::vector<std::uint64_t> awake;
+        std::size_t inbox = 0; ///< first of its words in inbox_
     };
 
     /** One contiguous same-class run of a shard's entry array: entries
@@ -281,7 +304,7 @@ class Engine
 
     void tickShardRange(std::size_t begin, std::size_t end, Cycle start,
                         Cycle window);
-    /** The sampled-window variant: same order, same skips, plus
+    /** The sampled-window variant: same order, same sleepers, plus
      * per-shard and per-class timestamps reported to profiler_. */
     void tickShardRangeProfiled(std::size_t begin, std::size_t end,
                                 Cycle start, Cycle window);
@@ -289,28 +312,26 @@ class Engine
     void rebuildClassRuns();
     /** Largest window <= @p w whose final cycle respects alignments_. */
     Cycle alignedWindow(Cycle w) const;
-    /** Re-probe shard busy() state; park/unpark (window boundary only). */
-    void refreshParking();
-    /** Replay idle evolution for every parked shard and forget parking
-     * state (when parking deactivates mid-run). */
-    void unparkAll();
+    /** (Re)size the activity masks after registration and bind every
+     * sharded component to its bit, all awake. */
+    void bindActivity();
+    /** Move the cross-shard wakes of the last window into the awake
+     * masks (after the barrier: no lane is running). */
+    void foldInbox();
 
-    std::vector<std::vector<Entry>> shards_;
+    std::vector<Shard> shards_;
     std::vector<Component *> components_; ///< serial tail
     std::vector<std::function<void(Cycle)>> serial_phases_;
     std::vector<Lane> lanes_;
     std::vector<Alignment> alignments_;
-    /** parked_[s] != 0: shard s is idle-skipped; parked_since_[s] is the
-     * cycle its components last ticked (for onIdleSkip replay). Empty
-     * whenever parking is inactive. */
-    std::vector<char> parked_;
-    std::vector<Cycle> parked_since_;
+    /** Cross-shard wake words, Shard::inbox onwards for each shard. */
+    std::unique_ptr<std::atomic<std::uint64_t>[]> inbox_;
     std::unique_ptr<CycleWorkerPool> pool_;
     EngineProfiler *profiler_ = nullptr;
     std::vector<std::vector<ClassRun>> class_runs_;
     int threads_ = 1;
     Cycle window_ = 1;
-    bool idle_skip_ = true;
+    bool activity_dirty_ = true;
     bool lanes_dirty_ = false;
     bool class_runs_dirty_ = true;
     Cycle now_ = 0;

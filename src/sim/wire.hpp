@@ -17,9 +17,17 @@
 #include <utility>
 #include <vector>
 
+#include "sim/component.hpp"
 #include "sim/types.hpp"
 
 namespace anton2 {
+
+/** How a wire's sends reach a sleeping receiver (Wire::setReceiver). */
+enum class WakePath : std::uint8_t
+{
+    Local,  ///< sender and receiver tick on the same engine shard
+    Remote, ///< the wire crosses shards (a torus link)
+};
 
 /**
  * A unidirectional delay line carrying at most one value of type T per
@@ -37,6 +45,9 @@ namespace anton2 {
  * has two writers, and a receiver that reads a stale send count only
  * misses values that are not deliverable before the next window anyway
  * (see Wire's slack parameter), so relaxed atomics suffice.
+ *
+ * A wire may name its receiver (setReceiver): every send then wakes it,
+ * which is how a sleeping component learns that work is on its way.
  */
 template <typename T>
 class Wire
@@ -61,6 +72,18 @@ class Wire
     Cycle latency() const { return latency_; }
 
     /**
+     * Wake @p receiver on every send, through @p path: Local for a
+     * receiver on the sender's shard, Remote for a wire that crosses
+     * shards. The components' connect calls bind this.
+     */
+    void
+    setReceiver(Component &receiver, WakePath path = WakePath::Local)
+    {
+        receiver_ = &receiver;
+        remote_ = path == WakePath::Remote;
+    }
+
+    /**
      * Send a value at cycle @p now; it becomes visible at now+latency.
      * At most one value may be sent per cycle.
      */
@@ -73,6 +96,12 @@ class Wire
             bump(sends_);
         slot.value = std::move(value);
         slot.at = now + latency_;
+        if (receiver_ != nullptr) {
+            if (remote_)
+                receiver_->wakeRemote();
+            else
+                receiver_->wake();
+        }
     }
 
     /** True if a value is deliverable at cycle @p now. */
@@ -211,6 +240,8 @@ class Wire
 
     Cycle latency_;
     std::vector<Slot> slots_;
+    Component *receiver_ = nullptr; ///< woken on send (may be null)
+    bool remote_ = false;
     std::atomic<std::uint64_t> sends_{ 0 }; ///< written by the sender only
     std::atomic<std::uint64_t> takes_{ 0 }; ///< written by the receiver only
 };

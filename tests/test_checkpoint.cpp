@@ -441,6 +441,134 @@ TEST(CheckpointReject, MissingFileIsRejected)
                  CheckpointError);
 }
 
+// ---------------------------------------------------------------------
+// Reader robustness: seeded mutations of a real image
+// ---------------------------------------------------------------------
+
+/** File layout: 8-byte magic, u32 version, u64 fingerprint, u64
+ * payload size, payload, u64 FNV-1a checksum of the payload. */
+constexpr std::size_t kPayloadAt = 28;
+
+std::uint32_t
+getLe32(const std::vector<char> &b, std::size_t off)
+{
+    std::uint32_t v = 0;
+    for (int i = 3; i >= 0; --i)
+        v = (v << 8) | static_cast<std::uint8_t>(b[off + i]);
+    return v;
+}
+
+void
+putLe(std::vector<char> &b, std::size_t off, std::uint64_t v, int bytes)
+{
+    for (int i = 0; i < bytes; ++i)
+        b[off + static_cast<std::size_t>(i)] =
+            static_cast<char>((v >> (8 * i)) & 0xffu);
+}
+
+/** Recompute the checksum so an edited payload reaches the decoder. */
+void
+reseal(std::vector<char> &b)
+{
+    const std::size_t payload = b.size() - kPayloadAt - 8;
+    putLe(b, b.size() - 8, ckptHash(b.data() + kPayloadAt, payload), 8);
+}
+
+/** Offsets of the packet-table count and of the first @p max_packets
+ * packets' length fields (payload, route order, route dirs), walking
+ * the packet codec's layout. */
+std::vector<std::size_t>
+lengthFields(const std::vector<char> &b, std::size_t max_packets)
+{
+    std::vector<std::size_t> out{ kPayloadAt };
+    const std::uint32_t packets = getLe32(b, kPayloadAt);
+    std::size_t p = kPayloadAt + 4;
+    for (std::uint32_t i = 0; i < packets && i < max_packets; ++i) {
+        p += 29; // id, src, dst, class, op, pattern, size
+        out.push_back(p);
+        p += 4 + getLe32(b, p) * sizeof(FlitPayload) + 8; // + counter, group
+        out.push_back(p);
+        p += 4 + getLe32(b, p) * 4 + 1; // + slice
+        out.push_back(p);
+        p += 4 + getLe32(b, p) + 40; // + vc, exit, x_through, cycles, hops
+    }
+    return out;
+}
+
+TEST(CheckpointReject, SeededMutationsAlwaysThrowCheckpointError)
+{
+    const std::string path = makeValidCheckpoint("mutations");
+    const std::vector<char> image = readAll(path);
+    ASSERT_GT(image.size(), 256u);
+    ASSERT_GT(getLe32(image, kPayloadAt), 0u) << "image holds no packets";
+
+    std::size_t trials = 0;
+    std::size_t failures = 0;
+    std::string first;
+    auto expectRejected = [&](const std::vector<char> &bytes,
+                              const std::string &what) {
+        ++trials;
+        writeAll(path, bytes);
+        Machine m(smallConfig());
+        std::string wrong;
+        try {
+            m.restoreCheckpoint(path);
+            wrong = "accepted";
+        } catch (const CheckpointError &) {
+        } catch (const std::exception &e) {
+            wrong = std::string("threw ") + e.what();
+        }
+        if (!wrong.empty() && failures++ == 0)
+            first = what + ": " + wrong;
+    };
+
+    Rng rng(0x5eedULL);
+    // Byte flips anywhere: header, payload, checksum.
+    for (int t = 0; t < 48; ++t) {
+        std::vector<char> b = image;
+        const int flips = 1 + static_cast<int>(rng.below(3));
+        for (int f = 0; f < flips; ++f) {
+            const std::size_t off = rng.below(b.size());
+            b[off] = static_cast<char>(b[off] ^ (1 + rng.below(255)));
+        }
+        expectRejected(b, "flip #" + std::to_string(t));
+    }
+    // Truncations, inside the header and anywhere after it.
+    std::vector<std::size_t> lengths{ 0, 4, 27, 28, 29 };
+    for (int t = 0; t < 12; ++t)
+        lengths.push_back(rng.below(image.size()));
+    for (std::size_t len : lengths) {
+        std::vector<char> b = image;
+        b.resize(len);
+        expectRejected(b, "truncated to " + std::to_string(len));
+    }
+    // The header's payload length, inflated.
+    const std::uint64_t payload = image.size() - kPayloadAt - 8;
+    for (std::uint64_t v : { payload + 1, payload + 8,
+                             std::uint64_t{ 1 } << 40, ~std::uint64_t{ 0 } }) {
+        std::vector<char> b = image;
+        putLe(b, kPayloadAt - 8, v, 8);
+        expectRejected(b, "payload length " + std::to_string(v));
+    }
+    // Length fields inside the payload, inflated and resealed: the
+    // decoder itself must reject them, without allocating what they
+    // claim.
+    for (std::size_t off : lengthFields(image, 6)) {
+        const std::uint32_t was = getLe32(image, off);
+        for (std::uint32_t v : { was + 1, 0x10000u, 0x7fffffffu,
+                                 0xffffffffu }) {
+            std::vector<char> b = image;
+            putLe(b, off, v, 4);
+            reseal(b);
+            expectRejected(b, "length at " + std::to_string(off) + " = "
+                                  + std::to_string(v));
+        }
+    }
+    EXPECT_EQ(failures, 0u) << failures << " of " << trials
+                            << " mutations not rejected; first: " << first;
+    std::remove(path.c_str());
+}
+
 TEST(Checkpoint, ColdStartReportsNoProvenance)
 {
     Machine m(smallConfig());

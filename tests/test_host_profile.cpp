@@ -592,6 +592,22 @@ TEST(BenchFlagValidation, ShapeNeedsTwoNodesAndAPositiveBatch)
     }
 }
 
+TEST(BenchFlagValidation, BatchMustReachTheFirstSweptBatch)
+{
+    // fig9's sweep starts at batch 16: a smaller --maxbatch would sweep
+    // nothing and print an empty table, so it is rejected up front.
+    EXPECT_TRUE(bench::validateShape(2, 2, 2, "--maxbatch", 16, 16));
+    for (long batch : { 1L, 8L, 15L }) {
+        testing::internal::CaptureStderr();
+        EXPECT_FALSE(bench::validateShape(2, 2, 2, "--maxbatch", batch, 16))
+            << batch;
+        EXPECT_NE(testing::internal::GetCapturedStderr().find(
+                      "error: --maxbatch must be >= 16, got "
+                      + std::to_string(batch)),
+                  std::string::npos);
+    }
+}
+
 TEST(BenchFlagValidation, HostProfileSampleMustBePositive)
 {
     bench::HostProfileOptions hp;

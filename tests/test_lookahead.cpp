@@ -9,8 +9,8 @@
  *    packaging-derived links, clamping, and the k = 1 degenerate case
  *    (which is exactly the pre-lookahead per-cycle engine);
  *  - the engine-level windowed schedule: shard ticks before the serial
- *    replay, barrier alignment truncation, idle-shard parking with
- *    onIdleSkip() replay;
+ *    replay, barrier alignment truncation, component sleep/wake with
+ *    onIdleSkip() replay at every window;
  *  - staged cross-shard side effects (observer-bus lanes, deferred
  *    deliveries) replay in canonical per-cycle order, proven by
  *    byte-identical exports across thread counts at any fixed window;
@@ -25,6 +25,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -153,66 +154,118 @@ TEST(LookaheadEngine, ThreadedWindowedScheduleMatchesSerial)
     }
 }
 
-/** Parkable component: externally controlled busy(), onIdleSkip log. */
-class Parker final : public Component
+/** A component that sleeps whenever it has no work: give() hands it
+ * ticks of work and wakes it; onIdleSkip() logs the replayed span. */
+class Sleeper final : public Component
 {
   public:
-    Parker() : Component("parker") {}
-    void tick(Cycle) override { ++ticks_; }
-    bool busy() const override { return busy_; }
+    Sleeper() : Component("sleeper") {}
+    void
+    tick(Cycle now) override
+    {
+        ++ticks_;
+        if (work_ > 0)
+            --work_;
+        if (work_ == 0)
+            sleep(now);
+    }
+    bool busy() const override { return work_ > 0; }
     void onIdleSkip(Cycle skipped) override { skipped_ += skipped; }
 
-    void setBusy(bool b) { busy_ = b; }
+    void
+    give(int ticks)
+    {
+        work_ += ticks;
+        wake();
+    }
     int ticks() const { return ticks_; }
     Cycle skippedReplayed() const { return skipped_; }
 
   private:
-    bool busy_ = false;
+    int work_ = 0;
     int ticks_ = 0;
     Cycle skipped_ = 0;
 };
 
-TEST(LookaheadEngine, IdleShardsAreParkedAndReplayedOnUnpark)
+/** The sleep/wake schedule both window tests pin. */
+void
+expectSleepSchedule(Engine &e)
+{
+    Sleeper p;
+    const std::size_t shard = e.newShard();
+    e.addSharded(shard, p);
+
+    // Everything starts awake: one idle tick at cycle 0, then asleep
+    // and never ticked again while idle.
+    e.run(8);
+    EXPECT_EQ(p.ticks(), 1);
+    EXPECT_EQ(p.skippedReplayed(), 0u);
+    EXPECT_TRUE(p.asleep());
+    EXPECT_FALSE(e.busy());
+    EXPECT_EQ(e.awakeCount(), 0u);
+
+    // Work arrives between cycles: the wake replays the 7 skipped
+    // cycles (1-7) before its first tick, at cycle 8.
+    p.give(4);
+    EXPECT_TRUE(e.busy());
+    e.run(4);
+    EXPECT_EQ(p.ticks(), 5);
+    EXPECT_EQ(p.skippedReplayed(), 7u);
+
+    // Out of work after cycle 11: asleep through cycles 12-19, and the
+    // next wake replays exactly those 8.
+    e.run(8);
+    EXPECT_EQ(p.ticks(), 5);
+    p.give(1);
+    e.run(4);
+    EXPECT_EQ(p.ticks(), 6);
+    EXPECT_EQ(p.skippedReplayed(), 15u);
+
+    // wakeAll (the checkpoint path) replays the span up to now: the
+    // tick at cycle 20 was the last, so cycles 21-23.
+    e.wakeAll();
+    EXPECT_EQ(p.skippedReplayed(), 18u);
+    EXPECT_FALSE(p.asleep());
+    e.run(1);
+    EXPECT_EQ(p.ticks(), 7);
+    EXPECT_EQ(p.skippedReplayed(), 18u);
+}
+
+TEST(LookaheadEngine, IdleComponentsSleepAndReplayOnWake)
 {
     Engine e;
     e.setWindow(4);
-    Parker p;
-    const std::size_t shard = e.newShard();
-    e.addSharded(shard, p);
-
-    // Idle from the start: parked at the first barrier, never ticked.
-    e.run(8);
-    EXPECT_EQ(p.ticks(), 0);
-    EXPECT_EQ(p.skippedReplayed(), 0u);
-
-    // Work arrives between barriers; the next probe unparks the shard
-    // and replays the 8 skipped cycles before its first real tick.
-    p.setBusy(true);
-    e.run(4);
-    EXPECT_EQ(p.ticks(), 4);
-    EXPECT_EQ(p.skippedReplayed(), 8u);
-
-    // Going idle again re-parks at the next barrier probe; disabling
-    // idle-skip resumes ticking and replays the second parked span
-    // (cycles 12-19) before the first post-park tick.
-    p.setBusy(false);
-    e.run(8);
-    EXPECT_EQ(p.ticks(), 4);
-    e.setIdleSkip(false);
-    e.run(4);
-    EXPECT_EQ(p.ticks(), 8);
-    EXPECT_EQ(p.skippedReplayed(), 16u);
+    expectSleepSchedule(e);
 }
 
-TEST(LookaheadEngine, ParkingIsDisabledAtWindowOne)
+TEST(LookaheadEngine, SleepWorksAtWindowOne)
 {
-    Engine e; // default window 1: the exact-legacy mode ticks everything
-    Parker p;
+    Engine e; // default window 1: sleeping is exact here too
+    expectSleepSchedule(e);
+}
+
+TEST(LookaheadEngine, SleepMasksSpanSeveralWords)
+{
+    // 150 components in one shard: three 64-bit awake words.
+    Engine e;
+    std::deque<Sleeper> sleepers(150);
     const std::size_t shard = e.newShard();
-    e.addSharded(shard, p);
-    e.run(5);
-    EXPECT_EQ(p.ticks(), 5);
-    EXPECT_EQ(p.skippedReplayed(), 0u);
+    for (Sleeper &s : sleepers)
+        e.addSharded(shard, s);
+    e.run(10); // one idle tick each, then asleep
+    EXPECT_EQ(e.awakeCount(), 0u);
+    const std::vector<std::size_t> worked{ 3, 64, 127, 149 };
+    for (std::size_t i : worked)
+        sleepers[i].give(2);
+    EXPECT_EQ(e.awakeCount(), worked.size());
+    e.run(10);
+    for (std::size_t i = 0; i < sleepers.size(); ++i) {
+        const bool w =
+            std::find(worked.begin(), worked.end(), i) != worked.end();
+        EXPECT_EQ(sleepers[i].ticks(), w ? 3 : 1) << i;
+        EXPECT_EQ(sleepers[i].skippedReplayed(), w ? 9u : 0u) << i;
+    }
+    EXPECT_EQ(e.awakeCount(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -551,7 +604,7 @@ TEST(LookaheadDeterminism, RandomizedConfigsSerialVsThreadedByteEqual)
         cfg.fixed_torus_latency = 2 + static_cast<Cycle>(gen.below(19));
         cfg.seed = seed;
         // Tracing on even seeds only: traced machines pin the staged
-        // trace path, untraced ones keep idle-skip parking engaged.
+        // trace path, untraced ones let idle routers sleep.
         const bool with_trace = seed % 2 == 0;
 
         auto run = [&](int threads, Cycle lookahead) {
