@@ -35,11 +35,12 @@ constexpr int kEndpointsPerNode = 8;
 
 enum class WeightMode { None, Forward, Reverse, Both };
 
+/** One sweep point's normalized throughput, or -1 when the batch did
+ * not complete (bench::runSucceeded). */
 double
 runBlend(const std::vector<int> &radix, int cores, std::uint64_t batch,
          WeightMode mode, double reverse_fraction, std::uint64_t seed,
-         int threads, const bench::ReportOptions &report,
-         const bench::HostProfileOptions &host_profile, bool probe,
+         const bench::RunOptions &run, bool probe,
          std::string *report_body, std::string *host_json)
 {
     HostProfiler prof;
@@ -52,16 +53,15 @@ runBlend(const std::vector<int> &radix, int cores, std::uint64_t batch,
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 20;
     cfg.seed = seed;
-    cfg.threads = threads;
     Machine m(cfg);
-    // The probe run (last sweep point, Both mode) carries the run-report
-    // and self-profiling instrumentation; the rest of the sweep stays
-    // uninstrumented.
-    if (probe && (report.enabled() || host_profile.enabled)) {
-        Instrumentation inst;
-        report.addTo(inst);
-        host_profile.addTo(inst);
-        m.attachInstrumentation(inst);
+    // The probe run (last sweep point, Both mode) carries the requested
+    // instrumentation (trace, flows, run report, self-profiling, ...);
+    // the rest of the sweep stays uninstrumented.
+    if (probe) {
+        run.apply(m);
+    } else {
+        m.setThreads(static_cast<int>(run.threads));
+        m.setLookahead(static_cast<Cycle>(run.lookahead));
     }
 
     const auto eps = firstEndpoints(cores);
@@ -131,17 +131,25 @@ runBlend(const std::vector<int> &radix, int cores, std::uint64_t batch,
     BatchDriver driver(m, dcfg);
     m.engine().add(driver);
     prof.beginPhase("run");
-    if (!driver.run(static_cast<Cycle>(batch) * 3000 + 300000))
-        std::fprintf(stderr, "WARNING: blend run timed out\n");
+    const StopReason why =
+        m.run(RunSpec::untilDelivered(driver.deliveredTarget(),
+                                      static_cast<Cycle>(batch) * 3000
+                                          + 300000))
+            .reason;
     prof.endPhase();
     if (probe) {
-        host_profile.write(m);
-        if (report.enabled()) {
-            *report_body = report.bodyJson(m);
+        run.writeOutputs(m);
+        if (run.report.enabled()) {
+            *report_body = run.report.bodyJson(m);
             bench::recordHostMem(prof, m);
             *host_json = bench::hostJson(prof, m.now(),
                                          m.engine().componentCount());
         }
+    }
+    if (!bench::runSucceeded(why, run.audit.fault != nullptr)) {
+        std::fprintf(stderr, "error: blend run stopped: %s\n",
+                     stopReasonName(why));
+        return -1.0;
     }
     return driver.throughputPerCore() / ideal;
 }
@@ -153,9 +161,7 @@ main(int argc, char **argv)
 {
     long kx = 8, ky = 4, kz = 4;
     long cores = 8, batch_flag = 256, seed_flag = 21, steps_flag = 4;
-    long threads = 1;
-    bench::ReportOptions report;
-    bench::HostProfileOptions host_profile;
+    bench::RunOptions run;
     bench::OptionRegistry reg(
         "Figure 10: tornado / reverse-tornado blending under the four "
         "arbiter weight modes");
@@ -168,19 +174,10 @@ main(int argc, char **argv)
     reg.add("--seed", "N", "simulation seed (default 21)", &seed_flag);
     reg.add("--steps", "N", "blend-fraction sweep steps (default 4)",
             &steps_flag);
-    reg.add("--threads", "N",
-            "engine worker threads (results are bit-identical at any "
-            "count)",
-            &threads);
-    host_profile.registerInto(reg);
-    report.registerInto(reg);
+    run.registerInto(reg);
     if (!reg.parse(argc, argv))
         return 1;
-    if (threads < 1) {
-        std::fprintf(stderr, "error: --threads must be >= 1\n");
-        return 1;
-    }
-    if (!host_profile.validate() || !report.validate()
+    if (!run.validate()
         || !bench::validateCores(cores, kEndpointsPerNode)
         || !bench::validateShape(kx, ky, kz, "--batch", batch_flag))
         return 1;
@@ -202,37 +199,29 @@ main(int argc, char **argv)
     bench::printRule(60);
 
     std::string report_body, report_host;
+    bool all_ok = true;
     for (int i = 0; i <= steps; ++i) {
         const double f = static_cast<double>(i) / steps;
-        const double none =
-            runBlend(radix, static_cast<int>(cores), batch,
-                     WeightMode::None, f, seed,
-                     static_cast<int>(threads), report, host_profile, false, nullptr,
-                     nullptr);
-        const double fwd =
-            runBlend(radix, static_cast<int>(cores), batch,
-                     WeightMode::Forward, f, seed,
-                     static_cast<int>(threads), report, host_profile, false, nullptr,
-                     nullptr);
-        const double rev =
-            runBlend(radix, static_cast<int>(cores), batch,
-                     WeightMode::Reverse, f, seed,
-                     static_cast<int>(threads), report, host_profile, false, nullptr,
-                     nullptr);
-        const double both =
-            runBlend(radix, static_cast<int>(cores), batch,
-                     WeightMode::Both, f, seed,
-                     static_cast<int>(threads), report, host_profile,
-                     i == steps, &report_body, &report_host);
-        std::printf("%-22.2f %8.3f %8.3f %8.3f %8.3f\n", f, none, fwd, rev,
-                    both);
+        double point[4];
+        for (WeightMode mode : { WeightMode::None, WeightMode::Forward,
+                                 WeightMode::Reverse, WeightMode::Both }) {
+            const bool probe = mode == WeightMode::Both && i == steps;
+            const double v = runBlend(
+                radix, static_cast<int>(cores), batch, mode, f, seed, run,
+                probe, probe ? &report_body : nullptr,
+                probe ? &report_host : nullptr);
+            all_ok = all_ok && v >= 0.0;
+            point[static_cast<int>(mode)] = v;
+        }
+        std::printf("%-22.2f %8.3f %8.3f %8.3f %8.3f\n", f, point[0],
+                    point[1], point[2], point[3]);
     }
     bench::printRule(60);
     std::printf(
         "Paper (8x8x8): Both holds ~0.85 across all blends; Forward/"
         "Reverse fall\ntoward round-robin as the blend moves away from "
         "their pattern.\n");
-    report.write("fig10_blend",
+    run.report.write("fig10_blend",
                  bench::JsonObj()
                      .add("kx", bench::num(radix[0]))
                      .add("ky", bench::num(radix[1]))
@@ -242,5 +231,5 @@ main(int argc, char **argv)
                      .add("steps", bench::num(steps))
                      .dump(0),
                  report_body, report_host);
-    return 0;
+    return all_ok ? 0 : 1;
 }

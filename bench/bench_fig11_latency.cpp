@@ -35,40 +35,38 @@ Cycle
 pingPong(Machine &m, EndpointAddr a, EndpointAddr b, int rounds)
 {
     // The handler chain: delivery at B triggers (after software delay) a
-    // write back to A; delivery at A completes one round.
+    // write back to A; delivery at A completes one round. A handler runs
+    // in its own endpoint's shard, so each side arms only its own
+    // counted-write counter for the next round.
     int completed = 0;
+    int pongs = 0;
     bool done = false;
     Cycle start = 0, end = 0;
-
-    std::function<void()> send_ping = [&] {
-        // Arm both sides' counted-write counters for this round, then
-        // issue the ping.
-        m.endpoint(b).armCounter(1, 1);
-        m.endpoint(a).armCounter(2, 1);
-        auto pkt = m.makeWrite(a, b, 0, 1, /*counter=*/1);
-        m.send(pkt);
-    };
 
     m.endpoint(b).setHandlerFn([&](std::int32_t, Cycle) {
         // Counted write arrived at B: schedule the pong after the software
         // overhead. (Modeled by injecting with a birth delay: we simply
         // run the engine and inject directly; the overhead is added to the
         // measured time analytically below.)
-        auto pkt = m.makeWrite(b, a, 0, 1, /*counter=*/2);
-        m.send(pkt);
+        m.send(m.makeWrite(b, a, 0, 1, /*counter=*/2));
+        if (++pongs < rounds)
+            m.endpoint(b).armCounter(1, 1);
     });
     m.endpoint(a).setHandlerFn([&](std::int32_t, Cycle now) {
         ++completed;
         if (completed >= rounds) {
             done = true;
             end = now;
-        } else {
-            send_ping();
+            return;
         }
+        m.endpoint(a).armCounter(2, 1);
+        m.send(m.makeWrite(a, b, 0, 1, /*counter=*/1));
     });
 
     start = m.now();
-    send_ping();
+    m.endpoint(b).armCounter(1, 1);
+    m.endpoint(a).armCounter(2, 1);
+    m.send(m.makeWrite(a, b, 0, 1, /*counter=*/1));
     RunSpec spec;
     spec.max_cycles = 4000000;
     spec.stop = [&] { return done; };

@@ -37,6 +37,7 @@ struct SweepPoint
 {
     double normalized;
     Cycle cycles;
+    bool ok; ///< the batch completed (bench::runSucceeded)
     std::string metrics_json; ///< full registry snapshot (telemetry runs)
     std::string timeseries_json; ///< windowed section (probe runs)
     std::string host_json;       ///< simulator self-profile (probe runs)
@@ -120,8 +121,7 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
                                            max_cycles);
     if (probe && std::string(pattern_name) == "uniform")
         run.ckpt.addTo(spec);
-    if (m.run(spec).reason != StopReason::Delivered)
-        std::fprintf(stderr, "WARNING: batch timed out\n");
+    const StopReason why = m.run(spec).reason;
     prof.endPhase();
 
     if (probe) {
@@ -130,6 +130,12 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
     }
     run.ts.write(m);
     SweepPoint res;
+    res.ok = bench::runSucceeded(why, run.audit.fault != nullptr);
+    if (!res.ok) {
+        std::fprintf(stderr, "error: %s batch %llu stopped: %s\n",
+                     pattern_name, static_cast<unsigned long long>(batch),
+                     stopReasonName(why));
+    }
     res.normalized = driver.throughputPerCore() / ideal;
     res.cycles = driver.completionTime();
     if (with_metrics)
@@ -195,6 +201,7 @@ main(int argc, char **argv)
     bench::printRule();
 
     std::vector<std::string> rows;
+    bool all_ok = true;
     std::string last_metrics;
     std::string last_timeseries;
     std::string last_host;
@@ -220,6 +227,7 @@ main(int argc, char **argv)
                                ArbPolicy::InverseWeighted, pattern, batch,
                                static_cast<std::uint64_t>(seed), run,
                                probe && json_path != nullptr, probe);
+            all_ok = all_ok && rr.ok && iw.ok;
             std::printf("%-18s %10llu %14.3f %16.3f\n", pattern,
                         static_cast<unsigned long long>(batch),
                         rr.normalized, iw.normalized);
@@ -297,5 +305,5 @@ main(int argc, char **argv)
         std::printf("Chrome trace written to %s\n", run.trace.chrome);
     if (run.trace.csv != nullptr)
         std::printf("Flight record written to %s\n", run.trace.csv);
-    return 0;
+    return all_ok ? 0 : 1;
 }

@@ -801,7 +801,7 @@ struct ReportOptions
 struct RunOptions
 {
     long threads = 1;
-    long lookahead = 1;
+    long lookahead = 0;
     TraceOptions trace;
     FlowOptions flows;
     TimeseriesOptions ts;
@@ -819,7 +819,8 @@ struct RunOptions
                 &threads);
         reg.add("--lookahead", "N",
                 "cycles per barrier window: 0 = auto (min torus link "
-                "latency), 1 = per-cycle barriers (default)",
+                "latency, default), 1 = per-cycle barriers (results "
+                "are bit-identical at any window)",
                 &lookahead);
         trace.registerInto(reg);
         flows.registerInto(reg);
@@ -914,6 +915,20 @@ recordHostMem(HostProfiler &prof, Machine &m)
         for (const auto &[key, value] : m.hostProfile()->gauges())
             prof.setExtraGauge(key, value);
     }
+}
+
+/**
+ * Whether a bench run that stopped for @p why succeeded: only reaching
+ * its delivery target counts. A timeout or a wedged network is a
+ * failure the bench must exit 1 on, not a warning. The one exception is
+ * an audit trip while a negative-control fault is armed
+ * (@p fault_armed): tripping is what the fault is for.
+ */
+inline bool
+runSucceeded(StopReason why, bool fault_armed)
+{
+    return why == StopReason::Delivered
+           || (fault_armed && why == StopReason::AuditTrip);
 }
 
 /** Render a possibly-NaN value for the text tables ("-" when empty). */

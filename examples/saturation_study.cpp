@@ -25,7 +25,7 @@ main(int argc, char **argv)
     // shared with the figure benches; see bench/common.hpp.
     const char *heatmap_path = nullptr;
     long threads = 1;
-    long lookahead = 1;
+    long lookahead = 0;
     bench::AuditOptions audit;
     bench::FlowOptions flows;
     bench::HostProfileOptions host_profile;
@@ -39,7 +39,7 @@ main(int argc, char **argv)
             &threads);
     reg.add("--lookahead", "N",
             "cycles per barrier window: 0 = auto (min torus link "
-            "latency), 1 = per-cycle barriers (default)",
+            "latency, default), 1 = per-cycle barriers",
             &lookahead);
     audit.registerInto(reg);
     flows.registerInto(reg);

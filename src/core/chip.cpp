@@ -138,6 +138,7 @@ Chip::registerWith(Engine &engine)
     // the profiler's sampled attribution pass (one timestamped run per
     // class per shard).
     const std::size_t shard = engine.newShard();
+    shard_ = shard;
     for (auto &r : routers_) {
         engine.addSharded(
             shard, *r,

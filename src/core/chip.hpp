@@ -71,6 +71,11 @@ class Chip
      */
     void registerWith(Engine &engine);
 
+    /** The engine shard registerWith() opened for this chip. Per-chip
+     * injectors (traffic drivers) register into it, after the chip's
+     * own components. */
+    std::size_t shard() const { return shard_; }
+
     /**
      * Bind every component of this chip to @p reg under
      * `chip.<node>.router.<u>.<v>`, `chip.<node>.ca.<chan>`, and
@@ -200,6 +205,7 @@ class Chip
     std::uint8_t egressVcAt(int ca, Packet &pkt, bool commit) const;
 
     NodeId node_;
+    std::size_t shard_ = 0;
     ChipConfig cfg_;
     const ChipLayout &layout_;
     const ChipRouteTable &routes_;

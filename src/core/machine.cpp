@@ -34,11 +34,14 @@ Machine::Machine(const MachineConfig &cfg)
       geom_(checkedRadix(cfg.radix)),
       layout_(cfg.chip.endpoints_per_node, static_cast<int>(
                                                cfg.radix.size())),
-      routes_(layout_, cfg.chip.dir_order),
-      rng_(cfg.seed)
+      routes_(layout_, cfg.chip.dir_order)
 {
     if (geom_.ndims() != 3)
         throw std::invalid_argument("Machine models a 3-D torus");
+
+    sources_.resize(geom_.numNodes());
+    for (NodeId n = 0; n < geom_.numNodes(); ++n)
+        sources_[n].rng = Rng::stream(cfg_.seed, n);
 
     chips_.reserve(geom_.numNodes());
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
@@ -117,11 +120,12 @@ Machine::Machine(const MachineConfig &cfg)
         c->registerWith(engine_);
 
     // Delivery accounting and the programming-model hooks on every
-    // endpoint adapter. Delivery side effects are deferred to the
-    // engine's serial phase (serialPhase below): they reach machine-wide
-    // state - the shared latency aggregates, the RNG via read-reply
-    // generation, software handlers - so they must run in one canonical
-    // order whether chips ticked on one thread or many.
+    // endpoint adapter. Read replies run in the delivering endpoint's
+    // shard (the reply leaves from that endpoint, drawing on its chip's
+    // stream); the delivery *observations* - the shared latency
+    // aggregates, the delivered count, the deliver hook - are deferred
+    // to the engine's serial phase (serialPhase below) so they apply in
+    // one canonical order whether chips ticked on one thread or many.
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
             auto &ep = chip(n).endpoint(e);
@@ -143,6 +147,12 @@ Machine::Machine(const MachineConfig &cfg)
                 }
                 if (deliver_hook_)
                     deliver_hook_(pkt, now);
+            });
+            // Software handlers may share host state across chips, so
+            // while any is installed a serial window keeps global cycle
+            // order and handlers fire exactly as at window 1.
+            ep.setHandlerWatch([this](bool installed) {
+                engine_.holdCycleOrder(installed);
             });
             ep.setReadFn([this](const PacketPtr &req, Cycle) {
                 // Generate the read reply in the Reply traffic class.
@@ -169,20 +179,22 @@ Machine::Machine(const MachineConfig &cfg)
 
 Machine::PacketPool::~PacketPool()
 {
-    for (Packet *p : free)
-        delete p;
+    for (Lane &lane : lanes) {
+        for (Packet *p : lane.free)
+            delete p;
+    }
 }
 
 PacketPtr
 Machine::allocPacket()
 {
+    const int lane = par::currentLane();
+    const std::size_t home = lane >= 0 ? static_cast<std::size_t>(lane) : 0;
+    std::vector<Packet *> &free = pool_->lanes[home].free;
     Packet *p = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(pool_->mu);
-        if (!pool_->free.empty()) {
-            p = pool_->free.back();
-            pool_->free.pop_back();
-        }
+    if (!free.empty()) {
+        p = free.back();
+        free.pop_back();
     }
     if (p == nullptr) {
         p = new Packet();
@@ -194,9 +206,14 @@ Machine::allocPacket()
         *p = Packet{};
         p->payload = std::move(payload);
     }
-    return PacketPtr(p, [pool = pool_](Packet *q) {
-        std::lock_guard<std::mutex> lock(pool->mu);
-        pool->free.push_back(q);
+    return PacketPtr(p, [pool = pool_, home](Packet *q) {
+        // A lane frees into its own list; serial context, where no lane
+        // runs, gives the packet back to the list it came from.
+        const int at = par::currentLane();
+        std::size_t l = at >= 0 ? static_cast<std::size_t>(at) : home;
+        if (l >= pool->lanes.size())
+            l = 0;
+        pool->lanes[l].free.push_back(q);
     });
 }
 
@@ -237,6 +254,9 @@ Machine::setThreads(int n)
 {
     engine_.setThreads(n);
     staged_.resize(engine_.laneCount());
+    // Grow-only: packets freed later may name any lane they came from.
+    if (pool_->lanes.size() < engine_.laneCount())
+        pool_->lanes.resize(engine_.laneCount());
     // One bucket per lane per cycle of the largest window the engine
     // may run (the lane count changes only here; the cap never does).
     obs_.configure(engine_.laneCount(),
@@ -337,7 +357,9 @@ Machine::metricsJson()
     // Stall attribution (present once tracing enabled the samplers):
     // per-class cycle totals reduced router -> chip -> machine; the
     // machine aggregate mirrors traceChromeJson()'s
-    // otherData.stall_totals.
+    // otherData.stall_totals. Sleeping routers replay their idle span
+    // first.
+    engine_.settle();
     PortStallTotals machine_stalls;
     bool any_stalls = false;
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
@@ -544,12 +566,14 @@ Machine::runReportJson(std::size_t topk)
 std::size_t
 Machine::packetPoolBytes()
 {
-    std::lock_guard<std::mutex> lock(pool_->mu);
-    std::size_t total = pool_->free.capacity() * sizeof(Packet *);
-    for (const Packet *p : pool_->free) {
-        total += sizeof(Packet)
-                 + p->payload.capacity()
-                       * sizeof(decltype(p->payload)::value_type);
+    std::size_t total = 0;
+    for (const PacketPool::Lane &lane : pool_->lanes) {
+        total += lane.free.capacity() * sizeof(Packet *);
+        for (const Packet *p : lane.free) {
+            total += sizeof(Packet)
+                     + p->payload.capacity()
+                           * sizeof(decltype(p->payload)::value_type);
+        }
     }
     return total;
 }
@@ -855,9 +879,10 @@ Machine::doEnableTracing(const TraceConfig &cfg)
     trace_ = std::make_unique<RingTraceSink>(cfg.capacity);
     trace_->setSampleStride(cfg.sample);
     obs_.attachTrace(*trace_);
-    // Binding also starts every router's stall sampler, which keeps the
-    // router awake: per-port class totals must sum to the sampled cycle
-    // count, idle cycles included.
+    // Binding also starts every router's stall sampler. Settle every
+    // sleeper first, so a router's idle replay never counts cycles from
+    // before its sampler existed.
+    engine_.settle();
     for (auto &c : chips_)
         c->bindObservers(obs_);
     return *trace_;
@@ -875,7 +900,9 @@ Machine::traceChromeJson()
     in.sample_stride = trace_->sampleStride();
     in.end_cycle = engine_.now();
 
-    // One stall report per router output port that saw any cycles.
+    // One stall report per router output port that saw any cycles
+    // (sleeping routers replay their idle span first).
+    engine_.settle();
     for (NodeId n = 0; n < geom_.numNodes(); ++n) {
         for (RouterId r = 0; r < layout_.numRouters(); ++r) {
             const RouterStallSampler *s = chip(n).router(r).stallSampler();
@@ -992,7 +1019,8 @@ Machine::traceFlightCsv()
 void
 Machine::prepareUnicast(Packet &pkt)
 {
-    pkt.route = randomRoute(geom_, pkt.src.node, pkt.dst.node, rng_);
+    pkt.route = randomRoute(geom_, pkt.src.node, pkt.dst.node,
+                            sources_[pkt.src.node].rng);
     pkt.vc = VcState(cfg_.chip.vc_policy);
     const int next = nextRouteDim(geom_, pkt.src.node, pkt.dst.node,
                                   pkt.route);
@@ -1004,9 +1032,7 @@ Machine::makeWrite(EndpointAddr src, EndpointAddr dst, std::uint8_t pattern,
                    int size_flits, std::int32_t counter)
 {
     assert(size_flits >= 1 && size_flits <= kMaxPacketFlits);
-    auto pkt = allocPacket();
-    pkt->id = next_packet_id_++;
-    pkt->src = src;
+    auto pkt = newPacket(src);
     pkt->dst = dst;
     pkt->tc = TrafficClass::Request;
     pkt->op = OpKind::Write;
@@ -1014,8 +1040,21 @@ Machine::makeWrite(EndpointAddr src, EndpointAddr dst, std::uint8_t pattern,
     pkt->size_flits = static_cast<std::uint16_t>(size_flits);
     pkt->payload.resize(static_cast<std::size_t>(size_flits));
     pkt->counter = counter;
-    pkt->birth = engine_.now();
     prepareUnicast(*pkt);
+    return pkt;
+}
+
+PacketPtr
+Machine::newPacket(const EndpointAddr &src)
+{
+    assert((Engine::tickingShard() == Engine::kNoShard
+            || Engine::tickingShard() == chip(src.node).shard())
+           && "a shard may only create packets on its own chip");
+    auto pkt = allocPacket();
+    pkt->id = (static_cast<std::uint64_t>(src.node) << kPacketIdSeqBits)
+              | sources_[src.node].next_seq++;
+    pkt->src = src;
+    pkt->birth = engine_.cycle();
     return pkt;
 }
 
@@ -1030,6 +1069,9 @@ Machine::makeRead(EndpointAddr src, EndpointAddr dst, std::uint8_t pattern)
 void
 Machine::send(const PacketPtr &pkt)
 {
+    assert((Engine::tickingShard() == Engine::kNoShard
+            || Engine::tickingShard() == chip(pkt->src.node).shard())
+           && "a shard may only send from its own chip");
     endpoint(pkt->src).inject(pkt);
 }
 
@@ -1050,14 +1092,12 @@ Machine::sendMulticast(EndpointAddr src, std::int32_t group,
 {
     const McastNodeEntry *entry = chip(src.node).mcastEntry(group);
     assert(entry != nullptr && "multicast group not installed at source");
-    ++mcast_sends_;
+    ++sources_[src.node].mcast_sends;
 
     // The source node's table entry is expanded at injection: one packet
     // per source branch (the network replicates at later branch points).
     auto makeCopy = [&]() {
-        auto pkt = allocPacket();
-        pkt->id = next_packet_id_++;
-        pkt->src = src;
+        auto pkt = newPacket(src);
         pkt->tc = TrafficClass::Request;
         pkt->op = OpKind::Write;
         pkt->pattern = pattern;
@@ -1065,7 +1105,6 @@ Machine::sendMulticast(EndpointAddr src, std::int32_t group,
         pkt->payload.resize(static_cast<std::size_t>(size_flits));
         pkt->counter = counter;
         pkt->mcast_group = group;
-        pkt->birth = engine_.now();
         pkt->vc = VcState(cfg_.chip.vc_policy);
         return pkt;
     };
@@ -1134,9 +1173,12 @@ Machine::run(const RunSpec &spec)
     if (progress_ != nullptr)
         progress_->setTargetCycles(start + spec.max_cycles);
 
+    // The default stride is the machine's window cap, not the window in
+    // use, so the stop cycle - and every export - is the same at any
+    // window.
     Cycle stride = spec.check_every;
     if (stride == 0) {
-        stride = engine_.window();
+        stride = lookahead_cap_;
         if (spec.until_quiescent && stride < 8)
             stride = 8;
     }
@@ -1211,6 +1253,11 @@ Machine::run(const RunSpec &spec)
         res.checkpoint_saved = true;
         res.checkpoint_cycle = engine_.now();
     }
+
+    // Sleeping routers owe their stall samplers the idle span; bring
+    // the totals up to date for readers between runs.
+    if (trace_ != nullptr)
+        engine_.settle();
 
     res.cycles = engine_.now() - start;
     res.end_cycle = engine_.now();

@@ -12,7 +12,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -75,13 +74,12 @@ struct MachineConfig
      * Results are bit-identical at any count; see Machine::setThreads. */
     int threads = 1;
     /** Lookahead window in cycles: how many consecutive cycles each
-     * shard ticks between engine barriers. 1 (default) is the legacy
-     * barrier-per-cycle schedule; 0 picks the maximum conservative
-     * window (the minimum torus link latency); any other value is
-     * clamped to that maximum. Results are bit-identical across thread
-     * counts at any fixed window; see Machine::setLookahead for the
-     * cross-window contract. */
-    Cycle lookahead = 1;
+     * shard ticks between engine barriers. 0 (default) picks the
+     * maximum conservative window (the minimum torus link latency); 1
+     * is the barrier-per-cycle schedule; any other value is clamped to
+     * the maximum. A host knob only: results are bit-identical at any
+     * window and any thread count (see Machine::setLookahead). */
+    Cycle lookahead = 0;
 };
 
 /**
@@ -149,13 +147,14 @@ struct RunSpec
     /** Optional custom stop predicate, evaluated between cycles. */
     std::function<bool()> stop;
 
-    /** Predicate-check stride in cycles; 0 = the engine's lookahead
-     * window (checks at barrier boundaries, the natural cadence), or,
-     * with until_quiescent set, max(window, 8): the quiescence probe
-     * walks every component and drain is monotone, so it need not run
-     * every cycle. Monotone conditions tolerate a coarse stride at the
-     * cost of overshooting the firing cycle by at most
-     * `check_every - 1`. */
+    /** Predicate-check stride in cycles; 0 = the machine's maximum
+     * lookahead window (Machine::lookaheadCap), or, with
+     * until_quiescent set, max(that, 8): the quiescence probe walks
+     * every component and drain is monotone, so it need not run every
+     * cycle. The default depends on the machine, never on the window
+     * in use, so a run stops at the same cycle at every window.
+     * Monotone conditions tolerate a coarse stride at the cost of
+     * overshooting the firing cycle by at most `check_every - 1`. */
     Cycle check_every = 0;
 
     /** Stop once totalDelivered() reaches this count (0 = disabled). */
@@ -241,7 +240,16 @@ class Machine
     const TorusGeom &geom() const { return geom_; }
     const ChipLayout &layout() const { return layout_; }
     Engine &engine() { return engine_; }
-    Rng &rng() { return rng_; }
+
+    /**
+     * Chip @p n's random stream, derived from (seed, n): the packet
+     * factory draws a packet's route from its source chip's stream, and
+     * traffic drivers draw a chip's destinations from it too. Only chip
+     * @p n's shard (or serial context between windows) may draw from
+     * it, which is what keeps every draw the same at any window and
+     * thread count.
+     */
+    Rng &rng(NodeId n) { return sources_[n].rng; }
 
     Chip &chip(NodeId n) { return *chips_[n]; }
     EndpointAdapter &
@@ -256,8 +264,12 @@ class Machine
 
     /**
      * Create a remote write. The route (dimension order, slice, direction
-     * tie-breaks) is randomized per Section 2.3; the payload defaults to
-     * zero and can be overwritten before send().
+     * tie-breaks) is randomized per Section 2.3 from the source chip's
+     * stream (rng(src.node)); the id comes from the source chip's
+     * sequence (chip in the high bits); birth is Engine::cycle(). The
+     * payload defaults to zero and can be overwritten before send().
+     * Callable between windows, or inside the source chip's shard (a
+     * driver's injector, a handler or read reply on that chip).
      *
      * @param counter Counted-write counter id at the destination endpoint,
      *        or -1 for a plain write.
@@ -266,11 +278,17 @@ class Machine
                         std::uint8_t pattern = 0, int size_flits = 1,
                         std::int32_t counter = -1);
 
-    /** Create a remote read request (the reply is generated automatically). */
+    /** A packet id is (source chip << kPacketIdSeqBits) | the chip's
+     * sequence number (from 1), unique machine-wide. */
+    static constexpr int kPacketIdSeqBits = 40;
+
+    /** Create a remote read request (the reply is generated automatically
+     * in the destination endpoint's shard, at the delivery cycle). */
     PacketPtr makeRead(EndpointAddr src, EndpointAddr dst,
                        std::uint8_t pattern = 0);
 
-    /** Queue a prepared packet at its source endpoint. */
+    /** Queue a prepared packet at its source endpoint (between windows,
+     * or from inside the source chip's shard). */
     void send(const PacketPtr &pkt);
 
     /**
@@ -291,7 +309,14 @@ class Machine
     // Run helpers and statistics
     // ------------------------------------------------------------------
 
-    /** Extra hook invoked on every delivery, after internal accounting. */
+    /**
+     * Extra hook invoked on every delivery, after internal accounting.
+     * Observation only: it runs in the serial phase, in canonical
+     * per-cycle order but after the shards ticked the whole window, so
+     * it must not send, arm counters or otherwise feed a shard. Work
+     * that reacts to a delivery belongs in an endpoint handler
+     * (EndpointAdapter::setHandlerFn), which runs in the shard.
+     */
     void setDeliverHook(std::function<void(const PacketPtr &, Cycle)> fn);
 
     /**
@@ -306,16 +331,13 @@ class Machine
 
     /**
      * Set the engine's lookahead window (0 = the maximum conservative
-     * window, values above it clamped; see MachineConfig::lookahead).
-     * At any fixed window the simulation is deterministic and
-     * bit-identical across thread counts. Runs at *different* windows
-     * are each exact conservative schedules but may differ from one
-     * another when serial-phase feedback exists (a driver's injections
-     * become visible to the chips at the next window boundary rather
-     * than the next cycle); workloads without such feedback
-     * (pre-injected traffic) are bit-identical across windows too.
-     * Sampler/auditor observation cycles stay exact at any window via
-     * Engine::addBarrierAlignment. Safe to call between runs.
+     * window, the default; values above it clamped; see
+     * MachineConfig::lookahead). The result is the same at any window:
+     * every injection source (drivers, handlers, read replies, the
+     * packet factory) runs in its chip's shard, so the torus wires are
+     * the only cross-shard path, and sampler/auditor observation
+     * cycles land on window ends via Engine::addBarrierAlignment. Safe
+     * to call between runs.
      */
     void setLookahead(Cycle w);
     /** The active lookahead window in cycles. */
@@ -551,22 +573,42 @@ class Machine
      * endpoints that hold some. */
     void serialPhase(Cycle now);
     void prepareUnicast(Packet &pkt);
+    /** A fresh packet from the pool, with its id drawn from @p src's
+     * chip sequence and its birth stamped at Engine::cycle(). */
+    PacketPtr newPacket(const EndpointAddr &src);
     /** Pooled packet allocation: recycles Packet objects (and their
-     * payload vectors' heap capacity) through a freelist, cutting the
-     * per-packet heap churn of the factory hot path. */
+     * payload vectors' heap capacity) through per-lane freelists,
+     * cutting the per-packet heap churn of the factory hot path. */
     PacketPtr allocPacket();
     MachineSnapshot buildSnapshot(Cycle now, const std::string &reason);
     ProgressProbe progressProbe() const;
 
-    /** Freelist behind allocPacket(). Shared with the packet deleters so
-     * packets outliving the Machine degrade to plain deletes; the mutex
-     * covers releases from worker lanes (multicast ingress drops copies
-     * during the parallel phase). */
+    /** Freelists behind allocPacket(), one per engine lane. A lane
+     * allocates from and frees into its own list during the parallel
+     * phase; serial context (no lane running) allocates from list 0
+     * and returns a packet to the list it came from. So no list is
+     * ever touched by two threads at once, and no lock is taken. Shared
+     * with the packet deleters so packets outliving the Machine are
+     * still freed. */
     struct PacketPool
     {
-        std::mutex mu;
-        std::vector<Packet *> free;
+        struct alignas(64) Lane
+        {
+            std::vector<Packet *> free;
+        };
+        std::vector<Lane> lanes{ 1 };
         ~PacketPool();
+    };
+
+    /** One chip's injection state: its random stream, its packet-id
+     * sequence and its multicast count, touched only from the chip's
+     * shard or between windows (padded: chips tick on different
+     * lanes). */
+    struct alignas(64) ChipSource
+    {
+        Rng rng;
+        std::uint64_t next_seq = 1;
+        std::uint64_t mcast_sends = 0;
     };
 
     MachineConfig cfg_;
@@ -574,7 +616,7 @@ class Machine
     ChipLayout layout_;
     ChipRouteTable routes_; ///< shared by every chip
     Engine engine_;
-    Rng rng_;
+    std::vector<ChipSource> sources_; ///< per chip, node order
     Cycle lookahead_cap_ = 1;
     /** Endpoint total-latency histogram bin width, scaled with the
      * machine diameter at construction (see the ctor). */
@@ -593,10 +635,8 @@ class Machine
      * (empty again once a window's deliveries are all flushed). */
     std::vector<std::uint32_t> flushing_;
 
-    std::uint64_t next_packet_id_ = 1;
     std::int32_t next_group_ = 0;
     std::vector<std::uint8_t> group_slices_;
-    std::uint64_t mcast_sends_ = 0; ///< multicast injections, ever
     std::uint64_t delivered_ = 0;
     Cycle last_delivery_ = 0;
     ScalarStat latency_;

@@ -11,6 +11,7 @@
  */
 #include "core/machine.hpp"
 
+#include <algorithm>
 #include <string>
 
 namespace anton2 {
@@ -132,7 +133,10 @@ Machine::doEnableAudit(const AuditConfig &cfg)
         for (const auto &ch : torus_channels_) {
             ch->data.forEachInFlight([&](const Phit &) { ++resident; });
         }
-        if (mcast_sends_ == 0 && injected != ejected + resident) {
+        const bool any_mcast = std::any_of(
+            sources_.begin(), sources_.end(),
+            [](const ChipSource &s) { return s.mcast_sends != 0; });
+        if (!any_mcast && injected != ejected + resident) {
             audit_->report("flit_conservation",
                            "flits injected " + std::to_string(injected)
                                + " != ejected " + std::to_string(ejected)

@@ -3,8 +3,9 @@
  * Machine-level checkpoint/restore (src/debug/checkpoint.* holds the
  * encoding; this file owns the machine traversal).
  *
- * Layout: machine scalars (clock, RNG, packet-id counter, multicast
- * bookkeeping, delivery statistics), then every torus channel in
+ * Layout: machine scalars (clock, each chip's RNG stream, packet-id
+ * sequence and multicast count, multicast bookkeeping, delivery
+ * statistics), then every torus channel in
  * construction order, then every chip in node order, then the
  * registered checkpoint clients (traffic drivers) in registration
  * order. The writer's packet table dedups shared PacketPtrs across all
@@ -94,14 +95,17 @@ Machine::saveCheckpoint(const std::string &path)
     CkptWriter w;
     w.tag("machine");
     w.cycle(engine_.now());
-    for (std::uint64_t word : rng_.state())
-        w.u64(word);
-    w.u64(next_packet_id_);
+    w.u32(static_cast<std::uint32_t>(sources_.size()));
+    for (const ChipSource &src : sources_) {
+        for (std::uint64_t word : src.rng.state())
+            w.u64(word);
+        w.u64(src.next_seq);
+        w.u64(src.mcast_sends);
+    }
     w.i32(next_group_);
     w.u32(static_cast<std::uint32_t>(group_slices_.size()));
     for (std::uint8_t s : group_slices_)
         w.u8(s);
-    w.u64(mcast_sends_);
     w.u64(delivered_);
     w.cycle(last_delivery_);
     const ScalarStat::State lat = latency_.state();
@@ -141,16 +145,20 @@ Machine::restoreCheckpoint(const std::string &path)
                  [this] { return allocPacket(); });
     r.expect("machine");
     engine_.restoreNow(r.cycle());
-    std::array<std::uint64_t, 4> rng_state;
-    for (auto &word : rng_state)
-        word = r.u64();
-    rng_.setState(rng_state);
-    next_packet_id_ = r.u64();
+    if (r.u32() != sources_.size())
+        throw CheckpointError("checkpoint: chip count mismatch");
+    for (ChipSource &src : sources_) {
+        std::array<std::uint64_t, 4> rng_state;
+        for (auto &word : rng_state)
+            word = r.u64();
+        src.rng.setState(rng_state);
+        src.next_seq = r.u64();
+        src.mcast_sends = r.u64();
+    }
     next_group_ = r.i32();
     group_slices_.resize(r.count(1));
     for (auto &s : group_slices_)
         s = r.u8();
-    mcast_sends_ = r.u64();
     delivered_ = r.u64();
     last_delivery_ = r.cycle();
     ScalarStat::State lat;

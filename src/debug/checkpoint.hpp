@@ -35,8 +35,11 @@
 
 namespace anton2 {
 
-/** Current checkpoint format version. Bump on any encoding change. */
-inline constexpr std::uint32_t kCheckpointVersion = 1;
+/** Current checkpoint format version. Bump on any encoding change.
+ * Version 2: per-chip RNG streams and packet-id sequences replace the
+ * machine-wide RNG and id counter; the batch driver drops its derived
+ * sent total. */
+inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 /** Thrown on any malformed, mismatched, or corrupted checkpoint. */
 class CheckpointError : public std::runtime_error

@@ -48,6 +48,15 @@ EndpointAdapter::injectQueueDepth(TrafficClass tc) const
 }
 
 void
+EndpointAdapter::setHandlerFn(HandlerFn fn)
+{
+    const bool had = static_cast<bool>(handler_fn_);
+    handler_fn_ = std::move(fn);
+    if (handler_watch_ && had != static_cast<bool>(handler_fn_))
+        handler_watch_(!had);
+}
+
+void
 EndpointAdapter::armCounter(std::int32_t counter, int count)
 {
     counters_[counter] += count;
@@ -170,11 +179,13 @@ EndpointAdapter::tickEject(Cycle now)
     if (slot.arrived < slot.pkt->size_flits)
         return;
 
-    // Full packet delivered. Endpoint-local accounting happens here;
-    // the side effects that touch shared machine state run inline only
-    // in standalone use - under a Machine they are queued and drained by
-    // the engine's serial phase after the per-cycle barrier (identically
-    // in serial and threaded runs).
+    // Full packet delivered. Endpoint-local accounting and the
+    // delivery's effects (read reply, counted-write handler) happen
+    // here, at the delivery cycle, in this endpoint's shard. The
+    // observations that record into shared machine state run inline
+    // only in standalone use - under a Machine they are queued and
+    // drained by the engine's serial phase after the barrier
+    // (identically in serial and threaded runs, at any window).
     PacketPtr pkt = std::move(slot.pkt);
     const Cycle head_at = slot.head_at;
     slot = EjectSlot{};
@@ -185,18 +196,36 @@ EndpointAdapter::tickEject(Cycle now)
     // count, surfaced as the flight record's `hops` column.
     tracePacketEvent(obs_, TraceUnitKind::Endpoint, TraceEventType::Eject,
                      now, pkt->id, pkt->hops, phit->vc);
+    actOnDelivery(pkt, now);
     if (on_staged_) {
         if (pending_.empty())
             on_staged_();
         pending_.push_back({ std::move(pkt), head_at, now });
     } else {
-        deliverSideEffects(pkt, head_at, now);
+        observeDelivery(pkt, head_at, now);
     }
 }
 
 void
-EndpointAdapter::deliverSideEffects(const PacketPtr &pkt, Cycle head_at,
-                                    Cycle now)
+EndpointAdapter::actOnDelivery(const PacketPtr &pkt, Cycle now)
+{
+    if (pkt->op == OpKind::ReadRequest) {
+        if (read_fn_)
+            read_fn_(pkt, now);
+    } else if (pkt->counter >= 0) {
+        // Counted write: decrement; dispatch the handler at zero.
+        auto it = counters_.find(pkt->counter);
+        if (it != counters_.end() && --it->second <= 0) {
+            counters_.erase(it);
+            if (handler_fn_)
+                handler_fn_(pkt->counter, now);
+        }
+    }
+}
+
+void
+EndpointAdapter::observeDelivery(const PacketPtr &pkt, Cycle head_at,
+                                 Cycle now)
 {
     if (metrics_ != nullptr) {
         metrics_->delivered->inc();
@@ -229,35 +258,19 @@ EndpointAdapter::deliverSideEffects(const PacketPtr &pkt, Cycle head_at,
 
     if (deliver_fn_)
         deliver_fn_(pkt, now);
-
-    if (pkt->op == OpKind::ReadRequest) {
-        if (read_fn_)
-            read_fn_(pkt, now);
-    } else if (pkt->counter >= 0) {
-        // Counted write: decrement; dispatch the handler at zero.
-        auto it = counters_.find(pkt->counter);
-        if (it != counters_.end() && --it->second <= 0) {
-            counters_.erase(it);
-            if (handler_fn_)
-                handler_fn_(pkt->counter, now);
-        }
-    }
 }
 
 void
 EndpointAdapter::flushDeliveries(Cycle up_to)
 {
     // Entries are appended by tickEject in nondecreasing cycle order, so
-    // the deliveries due at or before up_to form a prefix. Index loop:
-    // handlers may inject new packets (never new pending deliveries -
-    // those only arise inside tickEject).
+    // the deliveries due at or before up_to form a prefix.
     std::size_t done = 0;
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-        if (pending_[i].at > up_to)
+    for (const PendingDelivery &d : pending_) {
+        if (d.at > up_to)
             break;
-        const PendingDelivery d = pending_[i];
-        deliverSideEffects(d.pkt, d.head_at, d.at);
-        done = i + 1;
+        observeDelivery(d.pkt, d.head_at, d.at);
+        ++done;
     }
     if (done == pending_.size())
         pending_.clear();
@@ -271,8 +284,8 @@ EndpointAdapter::tick(Cycle now)
 {
     tickInject(now);
     tickEject(now);
-    // Staged deliveries do not keep an endpoint awake: the serial
-    // flush drains them whether it sleeps or not.
+    // Staged delivery observations do not keep an endpoint awake: the
+    // serial flush drains them whether it sleeps or not.
     if (!busy())
         sleep(now);
 }

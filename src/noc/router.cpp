@@ -94,8 +94,17 @@ Router::enableStallSampling()
 {
     if (stalls_ == nullptr)
         stalls_ = std::make_unique<RouterStallSampler>(cfg_.num_ports);
-    // The sampler owes every cycle from now on: stay awake.
-    wake();
+}
+
+void
+Router::onIdleSkip(Cycle skipped)
+{
+    // A skipped tick of an empty router: nothing sent, nothing arriving
+    // (quiet wires are the sleep condition), one sample.
+    if (stalls_ == nullptr)
+        return;
+    st_sent_mask_ = 0;
+    sampleStalls(skipped);
 }
 
 void
@@ -375,15 +384,16 @@ Router::stageSt(Cycle now)
 }
 
 /**
- * Attribute this cycle for every connected output port. Called once per
- * tick after the pipeline stages (so the sent mask and grant state are
- * final); exactly one class is counted per port, which is what makes
- * the per-port totals sum to the sampled cycle count.
+ * Attribute this cycle (or @p cycles identical idle ones) for every
+ * connected output port. Called once per tick after the pipeline stages
+ * (so the sent mask and grant state are final); exactly one class is
+ * counted per port, which is what makes the per-port totals sum to the
+ * sampled cycle count.
  */
 void
-Router::sampleStalls()
+Router::sampleStalls(std::uint64_t cycles)
 {
-    ++stalls_->sampled_cycles;
+    stalls_->sampled_cycles += cycles;
     for (std::size_t o = 0; o < out_.size(); ++o) {
         const auto &op = out_[o];
         if (op.ch == nullptr)
@@ -417,7 +427,7 @@ Router::sampleStalls()
                        : (ready ? StallClass::ArbLoss
                                 : StallClass::CreditStall);
         }
-        ++stalls_->ports[o].cycles[static_cast<std::size_t>(cls)];
+        stalls_->ports[o].cycles[static_cast<std::size_t>(cls)] += cycles;
     }
 }
 
@@ -428,11 +438,12 @@ Router::tick(Cycle now)
     receive(now);
     if (buffered_packets_ == 0) {
         // Nothing buffered: the pipeline stages have no work, but the
-        // stall sampler still owes this cycle (all ports: no input).
-        // Without one, an idle router whose wires are quiet sleeps.
+        // stall sampler still owes this cycle (all ports: no input). An
+        // idle router whose wires are quiet sleeps either way; its
+        // sampler catches up in onIdleSkip().
         if (stalls_ != nullptr)
             sampleStalls();
-        else if (!wiresBusy())
+        if (!wiresBusy())
             sleep(now);
         return;
     }

@@ -81,6 +81,10 @@ class Router final : public Component
 
     void tick(Cycle now) override;
     bool busy() const override;
+    /** Replay the stall samples of @p skipped idle cycles: an empty
+     * router with quiet wires counts every connected output port as
+     * NoInput, exactly what a tick would have sampled. */
+    void onIdleSkip(Cycle skipped) override;
 
     /** Inverse-weighted output arbiter for @p port (null for other policies). */
     InverseWeightedArbiter *outputArbiter(int port);
@@ -109,7 +113,10 @@ class Router final : public Component
      * Start classifying every connected output port's cycles into stall
      * classes (see StallClass). Idempotent; totals accumulate from the
      * first call, and for each connected port the class totals sum
-     * exactly to the cycles sampled. A sampling router never sleeps.
+     * exactly to the cycles sampled. A sampling router still sleeps
+     * when idle: onIdleSkip() replays the skipped cycles' samples.
+     * Enable it on a router that is awake (or outside an engine):
+     * Machine settles every sleeper first.
      */
     void enableStallSampling();
 
@@ -205,7 +212,9 @@ class Router final : public Component
     void stageSa1(Cycle now);
     void stageSa2(Cycle now);
     void stageSt(Cycle now);
-    void sampleStalls();
+    /** Attribute @p cycles identical cycles (the current one, or an
+     * idle span) for every connected output port. */
+    void sampleStalls(std::uint64_t cycles = 1);
     /** Any attached channel carrying a phit or credit. */
     bool wiresBusy() const;
     static void rebuildWorkMasks(InPort &ip);

@@ -137,6 +137,17 @@ class Component
             onIdleSkip(skipped);
     }
 
+    /** Replay the idle span up to @p now but keep sleeping (idle
+     * replay is additive: two spans replay like their sum). */
+    void
+    settle(Cycle now)
+    {
+        if (act_.slept_at == kNoCycle || now <= act_.slept_at)
+            return;
+        onIdleSkip(now - act_.slept_at);
+        act_.slept_at = now;
+    }
+
     std::string name_;
     Activity act_;
 };

@@ -34,6 +34,18 @@ class Rng
         }
     }
 
+    /**
+     * Stream @p index of @p seed: an independent generator per (seed,
+     * index) pair, e.g. one per chip. The pair is mixed through
+     * splitmix64 before seeding, so the streams of one seed, and the
+     * same stream of nearby seeds, are unrelated.
+     */
+    static Rng
+    stream(std::uint64_t seed, std::uint64_t index)
+    {
+        return Rng(mix(mix(seed) + index));
+    }
+
     /** Next raw 64-bit draw. */
     std::uint64_t
     next()
@@ -105,6 +117,16 @@ class Rng
     }
 
   private:
+    /** One splitmix64 finalization of @p x + the golden gamma. */
+    static std::uint64_t
+    mix(std::uint64_t x)
+    {
+        std::uint64_t z = x + 0x9e3779b97f4a7c15ULL;
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    }
+
     static std::uint64_t
     rotl(std::uint64_t x, int k)
     {

@@ -38,8 +38,60 @@ firstEndpoints(int n)
     return eps;
 }
 
+/** A driver's share of one chip, ticked in the chip's shard. */
+class ShardedDriver::Injector final : public Component
+{
+  public:
+    Injector(ShardedDriver &driver, NodeId node)
+        : Component(driver.name() + ".n" + std::to_string(node)),
+          driver_(driver), node_(node)
+    {
+    }
+
+    void
+    tick(Cycle now) override
+    {
+        if (!driver_.injectChip(node_, now))
+            sleep(now);
+    }
+
+  private:
+    ShardedDriver &driver_;
+    NodeId node_;
+};
+
+ShardedDriver::ShardedDriver(std::string name, Machine &machine)
+    : Component(std::move(name)), machine_(machine)
+{
+    Engine &engine = machine_.engine();
+    for (NodeId n = 0; n < machine_.geom().numNodes(); ++n) {
+        injectors_.push_back(std::make_unique<Injector>(*this, n));
+        engine.addSharded(
+            machine_.chip(n).shard(), *injectors_.back(),
+            [](Component &c, Cycle now) {
+                static_cast<Injector &>(c).Injector::tick(now);
+            },
+            HostCompClass::Other);
+    }
+}
+
+ShardedDriver::~ShardedDriver()
+{
+    Engine &engine = machine_.engine();
+    for (auto &inj : injectors_)
+        engine.remove(*inj);
+    engine.remove(*this);
+}
+
+void
+ShardedDriver::wakeInjectors()
+{
+    for (auto &inj : injectors_)
+        inj->wake();
+}
+
 BatchDriver::BatchDriver(Machine &machine, Config cfg)
-    : Component("batch-driver"), machine_(machine), cfg_(std::move(cfg))
+    : ShardedDriver("batch-driver", machine), cfg_(std::move(cfg))
 {
     assert(cfg_.pattern != nullptr);
     core_addrs_ = makeCoreList(machine_, cfg_.cores);
@@ -59,7 +111,6 @@ BatchDriver::BatchDriver(Machine &machine, Config cfg)
             w.u32(static_cast<std::uint32_t>(sent_.size()));
             for (std::uint64_t s : sent_)
                 w.u64(s);
-            w.u64(sent_total_);
             w.u64(expected_);
             w.u64(delivered_target_);
             w.u64(base_delivered_);
@@ -72,7 +123,6 @@ BatchDriver::BatchDriver(Machine &machine, Config cfg)
                 throw CheckpointError("batch-driver core count mismatch");
             for (auto &s : sent_)
                 s = r.u64();
-            sent_total_ = r.u64();
             expected_ = r.u64();
             delivered_target_ = r.u64();
             base_delivered_ = r.u64();
@@ -94,17 +144,28 @@ BatchDriver::tick(Cycle now)
         started_ = true;
         start_ = now;
     }
-    if (sent_total_ >= expected_)
-        return;
+}
 
-    Rng &rng = machine_.rng();
-    for (std::size_t i = 0; i < core_addrs_.size(); ++i) {
+std::uint64_t
+BatchDriver::sentTotal() const
+{
+    return std::accumulate(sent_.begin(), sent_.end(), std::uint64_t{ 0 });
+}
+
+bool
+BatchDriver::injectChip(NodeId node, Cycle)
+{
+    Rng &rng = machine_.rng(node);
+    const std::size_t per_node = cfg_.cores.size();
+    bool more = false;
+    for (std::size_t i = node * per_node; i < (node + 1) * per_node; ++i) {
         if (sent_[i] >= cfg_.batch_size)
             continue;
         const EndpointAddr &src = core_addrs_[i];
         auto &ep = machine_.endpoint(src);
         if (ep.injectQueueDepth(TrafficClass::Request)
             >= static_cast<std::size_t>(cfg_.max_queue)) {
+            more = true;
             continue;
         }
 
@@ -116,12 +177,12 @@ BatchDriver::tick(Cycle now)
 
         const NodeId dst_node = pat.dest(src.node, rng);
         const auto dst_ep = cfg_.cores[rng.below(cfg_.cores.size())];
-        auto pkt = machine_.makeWrite(src, { dst_node, dst_ep }, pat_id,
-                                      cfg_.size_flits);
-        machine_.send(pkt);
-        ++sent_[i];
-        ++sent_total_;
+        machine_.send(machine_.makeWrite(src, { dst_node, dst_ep }, pat_id,
+                                         cfg_.size_flits));
+        if (++sent_[i] < cfg_.batch_size)
+            more = true;
     }
+    return more;
 }
 
 bool
@@ -151,21 +212,41 @@ BatchDriver::throughputPerCore() const
 }
 
 OpenLoopDriver::OpenLoopDriver(Machine &machine, Config cfg)
-    : Component("open-loop-driver"), machine_(machine), cfg_(std::move(cfg))
+    : ShardedDriver("open-loop-driver", machine), cfg_(std::move(cfg))
 {
     assert(cfg_.pattern != nullptr);
     core_addrs_ = makeCoreList(machine_, cfg_.cores);
+    offered_.resize(machine_.geom().numNodes());
 }
 
 void
-OpenLoopDriver::tick(Cycle)
+OpenLoopDriver::setEnabled(bool on)
+{
+    enabled_ = on;
+    if (on)
+        wakeInjectors();
+}
+
+std::uint64_t
+OpenLoopDriver::offered() const
+{
+    std::uint64_t total = 0;
+    for (const ChipCount &c : offered_)
+        total += c.n;
+    return total;
+}
+
+bool
+OpenLoopDriver::injectChip(NodeId node, Cycle)
 {
     if (!enabled_)
-        return;
-    Rng &rng = machine_.rng();
-    for (const EndpointAddr &src : core_addrs_) {
+        return false;
+    Rng &rng = machine_.rng(node);
+    const std::size_t per_node = cfg_.cores.size();
+    for (std::size_t i = node * per_node; i < (node + 1) * per_node; ++i) {
         if (!rng.chance(cfg_.rate))
             continue;
+        const EndpointAddr &src = core_addrs_[i];
         auto &ep = machine_.endpoint(src);
         if (ep.injectQueueDepth(TrafficClass::Request) >= cfg_.max_queue)
             continue;
@@ -174,8 +255,9 @@ OpenLoopDriver::tick(Cycle)
         machine_.send(machine_.makeWrite(src, { dst_node, dst_ep },
                                          cfg_.pattern_id,
                                          cfg_.size_flits));
-        ++offered_;
+        ++offered_[node].n;
     }
+    return true;
 }
 
 } // namespace anton2

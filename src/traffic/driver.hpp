@@ -4,10 +4,19 @@
  * (Section 4.1): every participating core sends a fixed batch of packets
  * as fast as the network accepts them; throughput is the batch size
  * divided by the time at which the last packet is received.
+ *
+ * A driver injects from inside the machine: it registers one injector
+ * per chip into that chip's engine shard, after the chip's own
+ * components, and each injector draws on its chip's random stream. A
+ * chip's injections at cycle c therefore happen after its endpoints
+ * ticked c and are seen at c+1 - the same at every lookahead window and
+ * thread count. The driver component itself (Engine::add) keeps only
+ * bookkeeping that is safe between windows.
  */
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/machine.hpp"
@@ -17,11 +26,41 @@
 namespace anton2 {
 
 /**
+ * Base of the traffic drivers: owns one injector component per chip,
+ * registered into the chip's shard at construction and removed at
+ * destruction (the machine must outlive the driver).
+ */
+class ShardedDriver : public Component
+{
+  public:
+    ~ShardedDriver() override;
+
+  protected:
+    ShardedDriver(std::string name, Machine &machine);
+
+    /**
+     * Inject chip @p node's packets for cycle @p now (called inside the
+     * chip's shard). Return false once the chip has nothing left to
+     * inject: its injector then sleeps until wakeInjectors().
+     */
+    virtual bool injectChip(NodeId node, Cycle now) = 0;
+
+    /** Give every injector ticks again (between windows). */
+    void wakeInjectors();
+
+    Machine &machine_;
+
+  private:
+    class Injector;
+    std::vector<std::unique_ptr<Injector>> injectors_;
+};
+
+/**
  * Closed-batch driver. One logical "core" per (node, endpoint) pair; all
  * cores source packets from a single TrafficPattern, or from a blend of
  * two patterns (Figure 10) selected per packet by blend_fraction.
  */
-class BatchDriver : public Component
+class BatchDriver : public ShardedDriver
 {
   public:
     struct Config
@@ -47,12 +86,14 @@ class BatchDriver : public Component
     BatchDriver(Machine &machine, Config cfg);
     ~BatchDriver() override;
 
+    /** Bookkeeping only: records the batch's start cycle. */
     void tick(Cycle now) override;
-    bool busy() const override { return sent_total_ < expected_; }
+    bool busy() const override { return sentTotal() < expected_; }
 
     /** Total packets the batch will send across all cores. */
     std::uint64_t expected() const { return expected_; }
-    std::uint64_t sentTotal() const { return sent_total_; }
+    /** Packets sent so far (summed over the cores; between windows). */
+    std::uint64_t sentTotal() const;
 
     /** Machine-wide delivered() count that completes the batch. */
     std::uint64_t deliveredTarget() const { return delivered_target_; }
@@ -79,12 +120,13 @@ class BatchDriver : public Component
     Cycle startTime() const { return start_; }
     Cycle completionTime() const;
 
+  protected:
+    bool injectChip(NodeId node, Cycle now) override;
+
   private:
-    Machine &machine_;
     Config cfg_;
-    std::vector<EndpointAddr> core_addrs_;
-    std::vector<std::uint64_t> sent_; ///< per core
-    std::uint64_t sent_total_ = 0;
+    std::vector<EndpointAddr> core_addrs_; ///< node-major
+    std::vector<std::uint64_t> sent_;      ///< per core, node-major
     std::uint64_t expected_ = 0;
     std::uint64_t delivered_target_ = 0;
     std::uint64_t base_delivered_ = 0;
@@ -97,7 +139,7 @@ class BatchDriver : public Component
  * @p rate per cycle (dropped into the unbounded injection queue). Used for
  * latency-vs-load studies and the energy experiment's controlled rates.
  */
-class OpenLoopDriver : public Component
+class OpenLoopDriver : public ShardedDriver
 {
   public:
     struct Config
@@ -113,18 +155,30 @@ class OpenLoopDriver : public Component
     /** @throws std::invalid_argument on an invalid core list. */
     OpenLoopDriver(Machine &machine, Config cfg);
 
-    void tick(Cycle now) override;
+    /** Nothing to keep: every offer is made in the chips' shards. */
+    void tick(Cycle) override {}
     bool busy() const override { return false; }
 
-    void setEnabled(bool on) { enabled_ = on; }
-    std::uint64_t offered() const { return offered_; }
+    /** Start or stop offering (between runs). */
+    void setEnabled(bool on);
+    /** Packets offered so far (summed over the chips; between
+     * windows). */
+    std::uint64_t offered() const;
+
+  protected:
+    bool injectChip(NodeId node, Cycle now) override;
 
   private:
-    Machine &machine_;
+    /** One chip's offer count, padded: chips tick on different lanes. */
+    struct alignas(64) ChipCount
+    {
+        std::uint64_t n = 0;
+    };
+
     Config cfg_;
-    std::vector<EndpointAddr> core_addrs_;
+    std::vector<EndpointAddr> core_addrs_; ///< node-major
+    std::vector<ChipCount> offered_;       ///< per chip
     bool enabled_ = true;
-    std::uint64_t offered_ = 0;
 };
 
 /**

@@ -54,8 +54,8 @@ smallConfig(std::uint64_t seed = 7)
     return cfg;
 }
 
-/** Seeded pre-injected workload: no serial-phase feedback, so the run
- * is byte-identical across lookahead windows as well as thread counts. */
+/** Seeded pre-injected workload (byte-identical across lookahead
+ * windows and thread counts, like every workload). */
 void
 preInject(Machine &m, std::uint64_t seed, std::uint64_t packets = 96)
 {
@@ -201,59 +201,61 @@ struct BatchOutcome
 
 TEST(Checkpoint, BatchDriverSavedMidFlightCompletesAfterRestore)
 {
-    // The BatchDriver injects from the serial phase, so runs at
-    // different windows legitimately differ: compare baseline and
-    // restored runs at a *matched* window.
-    for (Cycle window : { Cycle{ 1 }, Cycle{ 0 } /* = auto */ }) {
-        MachineConfig cfg = smallConfig(23);
-        cfg.lookahead = window;
+    // The BatchDriver injects from its chips' shards, so the window is a
+    // host knob like the thread count: an image saved mid-batch at
+    // window 1 resumes at window auto (and at window 1) on another
+    // thread count and finishes exactly like the uninterrupted run.
+    MachineConfig cfg = smallConfig(23);
+    cfg.lookahead = 1;
 
-        auto drive = [&](Machine &m, BatchDriver &driver,
-                         const std::string &save_path) {
-            m.engine().add(driver);
-            m.run(RunSpec::forCycles(kForkCycle));
-            // The batch must actually be mid-flight at the fork.
-            EXPECT_GT(driver.sentTotal(), 0u);
-            EXPECT_LT(m.totalDelivered(), driver.deliveredTarget());
-            if (!save_path.empty()) {
-                m.saveCheckpoint(save_path);
-                return BatchOutcome{};
-            }
-            Instrumentation inst;
-            inst.metrics = true;
-            m.attachInstrumentation(inst);
-            RunResult res = m.run(
-                RunSpec::untilDelivered(driver.deliveredTarget(), 500000));
-            EXPECT_EQ(res.reason, StopReason::Delivered);
-            EXPECT_TRUE(driver.done(m));
-            return BatchOutcome{ m.totalDelivered(), m.now(),
-                                 m.metricsJson() };
-        };
-
-        // Uninterrupted baseline.
-        Machine base(cfg);
-        UniformPattern bpat(base.geom());
-        BatchDriver::Config dcfg;
-        dcfg.cores = { 0, 1 };
-        dcfg.batch_size = 24;
-        dcfg.pattern = &bpat;
-        BatchDriver bdriver(base, dcfg);
-        const BatchOutcome expected = drive(base, bdriver, "");
-
-        // Save mid-batch...
-        const std::string path = ckptPath("driver");
-        {
-            Machine saver(cfg);
-            UniformPattern spat(saver.geom());
-            BatchDriver sdriver(saver, dcfg);
-            drive(saver, sdriver, path);
+    auto drive = [&](Machine &m, BatchDriver &driver,
+                     const std::string &save_path) {
+        m.engine().add(driver);
+        m.run(RunSpec::forCycles(kForkCycle));
+        // The batch must actually be mid-flight at the fork.
+        EXPECT_GT(driver.sentTotal(), 0u);
+        EXPECT_LT(m.totalDelivered(), driver.deliveredTarget());
+        if (!save_path.empty()) {
+            m.saveCheckpoint(save_path);
+            return BatchOutcome{};
         }
+        Instrumentation inst;
+        inst.metrics = true;
+        m.attachInstrumentation(inst);
+        RunResult res = m.run(
+            RunSpec::untilDelivered(driver.deliveredTarget(), 500000));
+        EXPECT_EQ(res.reason, StopReason::Delivered);
+        EXPECT_TRUE(driver.done(m));
+        return BatchOutcome{ m.totalDelivered(), m.now(),
+                             m.metricsJson() };
+    };
 
-        // ...and restore into a different thread count. The driver's
-        // progress is part of the image: the batch completes at the
-        // same cycle with the same telemetry.
+    // Uninterrupted baseline.
+    Machine base(cfg);
+    UniformPattern bpat(base.geom());
+    BatchDriver::Config dcfg;
+    dcfg.cores = { 0, 1 };
+    dcfg.batch_size = 24;
+    dcfg.pattern = &bpat;
+    BatchDriver bdriver(base, dcfg);
+    const BatchOutcome expected = drive(base, bdriver, "");
+
+    // Save mid-batch at window 1...
+    const std::string path = ckptPath("driver");
+    {
+        Machine saver(cfg);
+        UniformPattern spat(saver.geom());
+        BatchDriver sdriver(saver, dcfg);
+        drive(saver, sdriver, path);
+    }
+
+    // ...and restore into a different thread count and either window.
+    // The driver's progress is part of the image: the batch completes
+    // at the same cycle with the same telemetry.
+    for (Cycle window : { Cycle{ 0 } /* = auto */, Cycle{ 1 } }) {
         MachineConfig rcfg = cfg;
         rcfg.threads = 2;
+        rcfg.lookahead = window;
         Machine restored(rcfg);
         UniformPattern rpat(restored.geom());
         BatchDriver rdriver(restored, dcfg);
@@ -273,8 +275,8 @@ TEST(Checkpoint, BatchDriverSavedMidFlightCompletesAfterRestore)
             << "window=" << window;
         EXPECT_EQ(restored.metricsJson(), expected.metrics)
             << "window=" << window;
-        std::remove(path.c_str());
     }
+    std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------

@@ -28,8 +28,7 @@ constexpr std::uint64_t kPackets = 120;
 
 /**
  * Build a flow-probed 2x2x2 machine and drive seeded random unicast
- * writes, all injected before the run starts (no serial-phase feedback,
- * so exports are byte-identical across lookahead windows too).
+ * writes, all injected before the run starts.
  */
 struct FlowRun
 {

@@ -257,24 +257,28 @@ runFig11Style(int threads)
     const EndpointAddr b{ m.geom().id({ 2, 1, 0 }), 1 };
     const int rounds = 6;
     int completed = 0;
+    int pongs = 0;
     bool done = false;
 
-    std::function<void()> send_ping = [&] {
-        m.endpoint(b).armCounter(1, 1);
-        m.endpoint(a).armCounter(2, 1);
-        m.send(m.makeWrite(a, b, 0, 1, /*counter=*/1));
-    };
+    // Each side's handler touches only its own endpoint: B re-arms its
+    // counter for the next ping, A re-arms its own and pings again.
     m.endpoint(b).setHandlerFn([&](std::int32_t, Cycle) {
         m.send(m.makeWrite(b, a, 0, 1, /*counter=*/2));
+        if (++pongs < rounds)
+            m.endpoint(b).armCounter(1, 1);
     });
     m.endpoint(a).setHandlerFn([&](std::int32_t, Cycle) {
-        if (++completed >= rounds)
+        if (++completed >= rounds) {
             done = true;
-        else
-            send_ping();
+            return;
+        }
+        m.endpoint(a).armCounter(2, 1);
+        m.send(m.makeWrite(a, b, 0, 1, /*counter=*/1));
     });
 
-    send_ping();
+    m.endpoint(b).armCounter(1, 1);
+    m.endpoint(a).armCounter(2, 1);
+    m.send(m.makeWrite(a, b, 0, 1, /*counter=*/1));
     EXPECT_TRUE(m.engine().runUntil([&] { return done; }, 1000000))
         << "threads=" << threads;
     m.endpoint(a).setHandlerFn(nullptr);
