@@ -43,8 +43,6 @@ runBlend(const std::vector<int> &radix, int cores, std::uint64_t batch,
          const bench::RunOptions &run, bool probe,
          std::string *report_body, std::string *host_json)
 {
-    HostProfiler prof;
-    prof.beginPhase("build");
     MachineConfig cfg;
     cfg.radix = radix;
     cfg.chip.endpoints_per_node = kEndpointsPerNode;
@@ -130,20 +128,16 @@ runBlend(const std::vector<int> &radix, int cores, std::uint64_t batch,
     dcfg.blend_fraction2 = reverse_fraction;
     BatchDriver driver(m, dcfg);
     m.engine().add(driver);
-    prof.beginPhase("run");
     const StopReason why =
         m.run(RunSpec::untilDelivered(driver.deliveredTarget(),
                                       static_cast<Cycle>(batch) * 3000
                                           + 300000))
             .reason;
-    prof.endPhase();
     if (probe) {
         run.writeOutputs(m);
         if (run.report.enabled()) {
             *report_body = run.report.bodyJson(m);
-            bench::recordHostMem(prof, m);
-            *host_json = bench::hostJson(prof, m.now(),
-                                         m.engine().componentCount());
+            *host_json = m.hostJson();
         }
     }
     if (!bench::runSucceeded(why, run.audit.fault != nullptr)) {

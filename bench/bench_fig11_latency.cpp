@@ -113,8 +113,6 @@ main(int argc, char **argv)
     const auto &ts = run.ts;
     const auto &audit = run.audit;
 
-    HostProfiler prof;
-    prof.beginPhase("build");
     MachineConfig cfg;
     cfg.radix = { k, k, k };
     cfg.chip.endpoints_per_node = 4;
@@ -129,7 +127,6 @@ main(int argc, char **argv)
     // this one's.
     if (run.ckpt.in != nullptr)
         m.restoreCheckpoint(run.ckpt.in);
-    prof.beginPhase("run");
 
     bench::printHeader(
         "Figure 11: one-way 16 B message latency vs. inter-node hops");
@@ -174,7 +171,6 @@ main(int argc, char **argv)
         ys.push_back(lat.mean());
     }
     bench::printRule(40);
-    prof.endPhase();
     if (run.ckpt.out != nullptr)
         m.saveCheckpoint(run.ckpt.out);
     run.flows.write(m);
@@ -194,10 +190,8 @@ main(int argc, char **argv)
                             .add("pairs", bench::num(pairs))
                             .add("rounds", bench::num(rounds))
                             .dump(0);
-    bench::recordHostMem(prof, m);
     run.report.write("fig11_latency", config, run.report.bodyJson(m),
-                     bench::hostJson(prof, m.now(),
-                                     m.engine().componentCount()));
+                     m.hostJson());
     if (json_path != nullptr) {
         const auto fit_obj = bench::JsonObj()
                                  .add("intercept_ns",
@@ -215,10 +209,7 @@ main(int argc, char **argv)
                              .add("metrics", m.metricsJson())
                              .add("timeseries", ts.jsonSection(m))
                              .add("audit", audit.jsonSection(m))
-                             .add("host",
-                                  bench::hostJson(
-                                      prof, m.now(),
-                                      m.engine().componentCount()))
+                             .add("host", m.hostJson())
                              .dump()
                              + "\n");
         std::printf("JSON report written to %s\n", json_path);

@@ -51,8 +51,6 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
          std::uint64_t seed, const bench::RunOptions &run,
          bool with_metrics, bool probe)
 {
-    HostProfiler prof;
-    prof.beginPhase("build");
     MachineConfig cfg;
     cfg.radix = radix;
     cfg.chip.endpoints_per_node = kEndpointsPerNode;
@@ -111,7 +109,6 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
 
     const Cycle max_cycles =
         static_cast<Cycle>(batch) * 2000 + 200000;
-    prof.beginPhase("run");
     // The last probe run (uniform, largest batch) is the one whose
     // report ships, so it alone gets the warm-start checkpoint I/O:
     // --checkpoint-out writes its steady-state image, --checkpoint-in
@@ -122,7 +119,6 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
     if (probe && std::string(pattern_name) == "uniform")
         run.ckpt.addTo(spec);
     const StopReason why = m.run(spec).reason;
-    prof.endPhase();
 
     if (probe) {
         run.trace.write(m);
@@ -147,9 +143,7 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
         res.audit_json = run.audit.jsonSection(m);
         res.report_json = run.report.bodyJson(m);
     }
-    bench::recordHostMem(prof, m);
-    res.host_json =
-        bench::hostJson(prof, m.now(), m.engine().componentCount());
+    res.host_json = m.hostJson();
     return res;
 }
 

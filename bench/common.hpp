@@ -619,24 +619,6 @@ struct HostProfileOptions
     }
 };
 
-/** A host timeline is one run's worth of window slices: benches that
- * measure several configurations back to back (bench_host_speed's
- * thread sweep) would overwrite it with whichever run finished last.
- * Gate on the measured-run count; false = refuse to simulate. */
-inline bool
-validateTimelineSingleRun(const HostProfileOptions &hp,
-                          std::size_t run_count)
-{
-    if (hp.timeline != nullptr && run_count != 1) {
-        std::fprintf(stderr,
-                     "error: --host-profile=PATH writes one run's "
-                     "timeline; measure a single thread count "
-                     "(--threads-list N)\n");
-        return false;
-    }
-    return true;
-}
-
 /**
  * Shared checkpoint flags for the Machine-driving benches:
  *   --checkpoint-out PATH  write a machine checkpoint: at steady-state
@@ -885,37 +867,6 @@ struct RunOptions
         host_profile.write(m);
     }
 };
-
-/**
- * The bench-report `host` section: wall time, phases, and simulated
- * cycles per wall second from a HostProfiler. Host-dependent by nature,
- * so it lives *outside* the deterministic `metrics`/`timeseries`
- * sections - byte-compare those, not this.
- */
-inline std::string
-hostJson(const HostProfiler &prof, Cycle cycles, std::size_t components)
-{
-    return prof.toJson(cycles, components);
-}
-
-/** Record the simulator's memory footprint on @p prof (peak RSS plus
- * the packet-pool and metric-registry sizes from @p m), so the host
- * section carries the `machine.host.mem.*` gauges - and, when the
- * engine profiler is attached, fold its `engine.*` gauges in too (lane
- * tick / barrier-wait seconds, straggler shard, class attribution), so
- * every bench's host section carries `machine.host.engine.*` without
- * per-bench wiring. Call right before hostJson(). */
-inline void
-recordHostMem(HostProfiler &prof, Machine &m)
-{
-    prof.setMemStats(m.packetPoolBytes(),
-                     m.metrics() != nullptr ? m.metrics()->approxBytes()
-                                            : 0);
-    if (m.hostProfile() != nullptr) {
-        for (const auto &[key, value] : m.hostProfile()->gauges())
-            prof.setExtraGauge(key, value);
-    }
-}
 
 /**
  * Whether a bench run that stopped for @p why succeeded: only reaching

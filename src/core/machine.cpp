@@ -169,12 +169,6 @@ Machine::Machine(const MachineConfig &cfg)
     engine_.addSerialPhase([this](Cycle now) { serialPhase(now); });
     setThreads(cfg_.threads);
     setLookahead(cfg_.lookahead);
-
-    if (cfg_.enable_metrics) {
-        Instrumentation inst;
-        inst.metrics = true;
-        attachInstrumentation(inst);
-    }
 }
 
 Machine::PacketPool::~PacketPool()
@@ -576,6 +570,49 @@ Machine::packetPoolBytes()
         }
     }
     return total;
+}
+
+std::string
+Machine::hostJson()
+{
+    const HostClock::time_point now = HostClock::now();
+    auto secs = [](HostClock::duration d) {
+        return std::chrono::duration<double>(d).count();
+    };
+    std::vector<std::pair<std::string, double>> gauges;
+    gauges.emplace_back("wall_seconds", secs(now - host_built_));
+    gauges.emplace_back("cycles", static_cast<double>(engine_.now()));
+    gauges.emplace_back("cycles_per_sec",
+                        host_run_seconds_ > 0.0
+                            ? static_cast<double>(host_run_cycles_)
+                                  / host_run_seconds_
+                            : 0.0);
+    gauges.emplace_back("mem.peak_rss_bytes",
+                        static_cast<double>(hostPeakRssBytes()));
+    gauges.emplace_back("mem.packet_pool_bytes",
+                        static_cast<double>(packetPoolBytes()));
+    gauges.emplace_back("mem.metric_registry_bytes",
+                        metrics_ != nullptr
+                            ? static_cast<double>(metrics_->approxBytes())
+                            : 0.0);
+    if (host_profile_ != nullptr) {
+        for (auto &g : host_profile_->gauges())
+            gauges.push_back(std::move(g));
+    }
+    gauges.emplace_back("phase.build_seconds",
+                        secs(host_first_run_.value_or(now) - host_built_));
+    gauges.emplace_back("phase.run_seconds", host_run_seconds_);
+
+    std::string out = "{";
+    const char *sep = "\n";
+    for (const auto &[key, value] : gauges) {
+        out += sep;
+        out += "    \"machine.host." + jsonEscape(key)
+               + "\": " + jsonNumber(value);
+        sep = ",\n";
+    }
+    out += "\n  }";
+    return out;
 }
 
 IntervalSampler &
@@ -1162,6 +1199,10 @@ stopReasonName(StopReason r)
 RunResult
 Machine::run(const RunSpec &spec)
 {
+    const HostClock::time_point host_t0 = HostClock::now();
+    if (!host_first_run_)
+        host_first_run_ = host_t0;
+
     if (!spec.checkpoint_in.empty())
         restoreCheckpoint(spec.checkpoint_in);
 
@@ -1264,6 +1305,9 @@ Machine::run(const RunSpec &spec)
     res.delivered = delivered_;
     res.reason = fired;
     res.audit_tripped = audit_ != nullptr && audit_->tripped();
+    host_run_cycles_ += res.cycles;
+    host_run_seconds_ +=
+        std::chrono::duration<double>(HostClock::now() - host_t0).count();
     return res;
 }
 

@@ -10,6 +10,7 @@
  */
 #pragma once
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -67,9 +68,6 @@ struct MachineConfig
     Cycle fixed_torus_latency = 33; ///< used when use_packaging is false
     PackagingModel packaging;
     std::uint64_t seed = 1;
-    /** Deprecated: prefer attachInstrumentation() after construction.
-     * Build with telemetry bound (default off: zero hot-path cost). */
-    bool enable_metrics = false;
     /** Worker threads for the engine's parallel phase (1 = serial).
      * Results are bit-identical at any count; see Machine::setThreads. */
     int threads = 1;
@@ -414,6 +412,18 @@ class Machine
      * capacity), for the host memory report. */
     std::size_t packetPoolBytes();
 
+    /**
+     * The non-deterministic `host` report section, a flat JSON object
+     * keyed `machine.host.*`: wall seconds since construction, the
+     * simulated cycle, cycles per second of run() time, the memory
+     * footprint (`mem.*`), the engine profiler's gauges (`engine.*`,
+     * only when one is attached), and the build (construction to the
+     * first run(), or to now before any run) and run (summed wall time
+     * inside run()) phases. Host-dependent by nature, so reports put it
+     * after the deterministic body, never inside it. Valid at any time.
+     */
+    std::string hostJson();
+
     // ------------------------------------------------------------------
     // Event tracing
     // ------------------------------------------------------------------
@@ -555,6 +565,8 @@ class Machine
     Cycle restoredCycle() const { return restored_cycle_; }
 
   private:
+    using HostClock = std::chrono::steady_clock;
+
     MetricsRegistry &doEnableMetrics(MetricsLevel level);
     RingTraceSink &doEnableTracing(const TraceConfig &cfg);
     FlowProbe &doEnableFlows(const FlowProbeConfig &cfg);
@@ -667,6 +679,15 @@ class Machine
     std::unique_ptr<ProgressMeter> progress_;
     std::unique_ptr<EngineProfiler> host_profile_;
     std::unique_ptr<Auditor> audit_;
+
+    /** Host wall-clock stamps for hostJson(): construction (stamped
+     * before the constructor body builds the chips), the first run()
+     * call, and the wall time and cycles summed over every run() call
+     * (two clock reads per call, never per window). */
+    HostClock::time_point host_built_ = HostClock::now();
+    std::optional<HostClock::time_point> host_first_run_;
+    double host_run_seconds_ = 0.0;
+    Cycle host_run_cycles_ = 0;
 };
 
 } // namespace anton2

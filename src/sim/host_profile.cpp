@@ -49,14 +49,12 @@ toSeconds(std::int64_t ns)
 
 EngineProfiler::EngineProfiler(const EngineProfileConfig &cfg) : cfg_(cfg)
 {
-    if (cfg_.max_windows < 1)
-        cfg_.max_windows = 1;
     if (cfg_.sample_every < 1)
         cfg_.sample_every = 1;
     // Window 0 is the one window in which every component is awake;
     // sampling mid-period keeps it out of the sample.
     sample_phase_ = cfg_.sample_every / 2;
-    detail_.reserve(cfg_.max_windows);
+    detail_.reserve(kHostTimelineWindows);
     configure(1, 0);
 }
 
@@ -74,7 +72,7 @@ EngineProfiler::configure(std::size_t lanes, std::size_t shards)
         lane_wait_s_.resize(lanes_, 0.0);
         lane_detail_.resize(lanes_);
         for (auto &ld : lane_detail_) {
-            ld.reserve(cfg_.max_windows);
+            ld.reserve(kHostTimelineWindows);
             // Lanes that appear after windows were already recorded pad
             // with empty slices so the rings stay index-aligned.
             ld.resize(detail_.size(), { 0, 0 });
@@ -216,7 +214,7 @@ EngineProfiler::windowEnd()
         }
     }
 
-    if (detail_.size() < cfg_.max_windows) {
+    if (detail_.size() < kHostTimelineWindows) {
         detail_.push_back(
             { win_start_, win_len_, t0_ns_, barrier_ns_, end_ns });
         for (std::size_t l = 0; l < lanes_; ++l) {

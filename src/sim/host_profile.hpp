@@ -112,12 +112,13 @@ nowNs()
  * compiled out). */
 std::uint64_t hostProfileClockReads();
 
+/** Per-window detail capacity (the host-timeline ring). Running totals
+ * keep accumulating after the ring fills; only the timeline slices are
+ * dropped (and counted). */
+inline constexpr std::size_t kHostTimelineWindows = 16384;
+
 struct EngineProfileConfig
 {
-    /** Per-window detail capacity (the host-timeline ring). Running
-     * totals keep accumulating after the ring fills; only the timeline
-     * slices are dropped (and counted). */
-    std::size_t max_windows = 16384;
     /** Run the per-shard / per-class attribution pass every Nth window,
      * from window N / 2 on (1 = every window; larger amortizes its extra
      * clock reads). */
@@ -224,8 +225,8 @@ class EngineProfiler
     /**
      * Every derived figure as ordered (key, value) gauges, keyed
      * relative to the host section ("engine.windows", ...,
-     * "engine.lane.0.tick_seconds", ...). HostProfiler::setExtraGauge
-     * turns them into `machine.host.engine.*` in reports.
+     * "engine.lane.0.tick_seconds", ...). Machine::hostJson reports
+     * them as `machine.host.engine.*`.
      */
     std::vector<std::pair<std::string, double>> gauges() const;
 
@@ -296,7 +297,7 @@ class EngineProfiler
     std::int64_t barrier_ns_ = 0;
     std::int64_t epoch_ns_ = 0;
 
-    // detail rings (preallocated to cfg_.max_windows)
+    // detail rings (preallocated to kHostTimelineWindows)
     std::vector<WindowDetail> detail_;
     std::vector<std::vector<std::pair<std::int64_t, std::int64_t>>>
         lane_detail_;

@@ -132,8 +132,8 @@ TEST(Audit, MaxAgeGaugesPublishedWithoutAuditor)
     // The packet-age watermark is plain telemetry: it must appear in the
     // metrics export even when no auditor was ever constructed.
     MachineConfig cfg = auditConfig();
-    cfg.enable_metrics = true;
     Machine m(cfg);
+    m.attachInstrumentation({ .metrics = true });
     ASSERT_EQ(m.audit(), nullptr);
     m.send(m.makeWrite({ 0, 0 }, { m.geom().id({ 2, 1, 1 }), 1 }));
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(1, 50000)).reason == StopReason::Delivered);
@@ -147,8 +147,8 @@ TEST(Audit, MaxAgeGaugesPublishedWithoutAuditor)
 TEST(Audit, GaugesPublishedWhenBound)
 {
     MachineConfig cfg = auditConfig();
-    cfg.enable_metrics = true;
     Machine m(cfg);
+    m.attachInstrumentation({ .metrics = true });
     attachAudit(m, fastAudit());
     const auto sent = driveSeededTraffic(m, 73, 40);
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(sent, 100000)).reason == StopReason::Delivered);

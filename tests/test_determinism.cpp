@@ -30,8 +30,8 @@ runAndSnapshot(std::uint64_t seed)
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 12;
     cfg.seed = seed;
-    cfg.enable_metrics = true;
     Machine m(cfg);
+    m.attachInstrumentation({ .metrics = true });
 
     // Destinations and sizes come from a generator derived from the same
     // seed, so the full workload - not just the routing tie-breaks - is a
@@ -96,8 +96,8 @@ runAndSnapshotTimeseries(std::uint64_t seed)
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 12;
     cfg.seed = seed;
-    cfg.enable_metrics = true;
     Machine m(cfg);
+    m.attachInstrumentation({ .metrics = true });
     TimeseriesConfig tcfg;
     tcfg.window = 64;
     Instrumentation inst;
@@ -234,8 +234,8 @@ TEST(Determinism, RepeatedSerializationOfOneRunIsStable)
     cfg.chip.endpoints_per_node = 2;
     cfg.use_packaging = false;
     cfg.seed = 5;
-    cfg.enable_metrics = true;
     Machine m(cfg);
+    m.attachInstrumentation({ .metrics = true });
     m.send(m.makeWrite({ 0, 0 }, { 7, 1 }, 0, 2));
     ASSERT_TRUE(m.run(RunSpec::untilDelivered(1, 100000)).reason == StopReason::Delivered);
     // metricsJson refreshes gauges then serializes; with no intervening

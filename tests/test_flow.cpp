@@ -49,8 +49,8 @@ runFlows(std::uint64_t seed, int threads, Cycle lookahead,
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 12;
     cfg.seed = seed;
-    cfg.enable_metrics = true;
     Machine m(cfg);
+    m.attachInstrumentation({ .metrics = true });
     m.setThreads(threads);
     m.setLookahead(lookahead);
     FlowProbeConfig fc;
@@ -125,8 +125,8 @@ TEST(FlowMatrix, LatencySumsReconcileExactlyWithAggregateStats)
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 12;
     cfg.seed = 9;
-    cfg.enable_metrics = true;
     Machine m(cfg);
+    m.attachInstrumentation({ .metrics = true });
     Instrumentation finst;
     finst.flows = FlowProbeConfig{};
     m.attachInstrumentation(finst);
@@ -385,8 +385,8 @@ TEST(LatencyHistogram, BinWidthScalesWithMachineDiameter)
         cfg.chip.endpoints_per_node = 1;
         cfg.use_packaging = false;
         cfg.fixed_torus_latency = 20;
-        cfg.enable_metrics = true;
         Machine m(cfg);
+        m.attachInstrumentation({ .metrics = true });
         const Histogram *h =
             m.metrics()->findHistogram("machine.latency.total");
         ASSERT_NE(h, nullptr);
@@ -400,8 +400,8 @@ TEST(LatencyHistogram, BinWidthScalesWithMachineDiameter)
         cfg.chip.endpoints_per_node = 1;
         cfg.use_packaging = false;
         cfg.fixed_torus_latency = 20;
-        cfg.enable_metrics = true;
         Machine m(cfg);
+        m.attachInstrumentation({ .metrics = true });
         const Histogram *h =
             m.metrics()->findHistogram("machine.latency.total");
         ASSERT_NE(h, nullptr);
@@ -420,8 +420,8 @@ TEST(LatencyHistogram, WorstPathOnLargeTorusLandsInRealBins)
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 200;
     cfg.seed = 3;
-    cfg.enable_metrics = true;
     Machine m(cfg);
+    m.attachInstrumentation({ .metrics = true });
     const Histogram *h =
         m.metrics()->findHistogram("machine.latency.total");
     ASSERT_NE(h, nullptr);

@@ -21,14 +21,14 @@
  *  - every deterministic export is byte-identical with profiling on or
  *    off, at 1/2/4 threads and per-cycle or auto windows;
  *  - the Chrome-trace host timeline loads and covers the run's windows;
- *  - HostProfiler hardening: open/re-entered phases, stray endPhase,
- *    phase seconds never exceeding wall seconds, extra-gauge overwrite;
+ *  - Machine::hostJson, the one host report section: its keys and
+ *    their order, phase seconds bounded by wall seconds, `engine.*`
+ *    only with a profiler attached, validity before any run;
  *  - the window-aware --progress line (running rate + ETA);
  *  - benches fail (exit 1) on any stop other than a delivered batch,
  *    save an audit trip under an armed fault;
  *  - bench flag validation: --topk, --host-profile-sample, unwritable
- *    timeline paths, timeline vs. multi-run sweeps, and the
- *    OptionRegistry's --name=value syntax.
+ *    timeline paths, and the OptionRegistry's --name=value syntax.
  */
 #include <gtest/gtest.h>
 
@@ -361,17 +361,11 @@ TEST(EngineProfiler, GaugeSchemaAndHostJsonRoundTrip)
     Machine m = makeLoadedMachine(2, 0);
     attachHostProfile(m);
     preInject(m);
-    HostProfiler prof;
-    prof.beginPhase("run");
     m.run(RunSpec::forCycles(1024));
-    prof.endPhase();
 
-    // The shared bench path: recordHostMem folds the engine gauges into
-    // the HostProfiler, hostJson emits them as machine.host.engine.*.
-    bench::recordHostMem(prof, m);
-    const std::string json =
-        bench::hostJson(prof, m.now(), m.engine().componentCount());
-    const auto root = TinyJsonParser(json).parse();
+    // Every bench's host section: the engine gauges arrive as
+    // machine.host.engine.*.
+    const auto root = TinyJsonParser(m.hostJson()).parse();
 
     for (const char *key : {
              "machine.host.engine.windows",
@@ -412,9 +406,111 @@ TEST(EngineProfiler, GaugeSchemaAndHostJsonRoundTrip)
     EXPECT_DOUBLE_EQ(
         root->at("machine.host.engine.profiled_seconds").number,
         p.profiledSeconds());
-    // Profiled engine time is a subset of the phase wall time.
+    // Profiled engine time is a subset of the time spent in run().
     EXPECT_LE(root->at("machine.host.engine.profiled_seconds").number,
-              root->at("machine.host.wall_seconds").number + 1e-6);
+              root->at("machine.host.phase.run_seconds").number + 1e-6);
+}
+
+// ---------------------------------------------------------------------
+// Machine::hostJson: the host report section
+// ---------------------------------------------------------------------
+
+/** The host section's keys in serialized order (every value is a
+ * number, so every quoted string is a key). */
+std::vector<std::string>
+hostKeys(const std::string &json)
+{
+    std::vector<std::string> keys;
+    for (std::size_t open = json.find('"'); open != std::string::npos;) {
+        const std::size_t close = json.find('"', open + 1);
+        keys.push_back(json.substr(open + 1, close - open - 1));
+        open = json.find('"', close + 1);
+    }
+    return keys;
+}
+
+TEST(MachineHostJson, KeysInOrderAndNoTickRate)
+{
+    Machine m = makeLoadedMachine(1, 0);
+    preInject(m);
+    m.run(RunSpec::forCycles(512));
+    const std::string json = m.hostJson();
+    const std::vector<std::string> expected{
+        "machine.host.wall_seconds",
+        "machine.host.cycles",
+        "machine.host.cycles_per_sec",
+        "machine.host.mem.peak_rss_bytes",
+        "machine.host.mem.packet_pool_bytes",
+        "machine.host.mem.metric_registry_bytes",
+        "machine.host.phase.build_seconds",
+        "machine.host.phase.run_seconds",
+    };
+    // Exactly these keys: there is no derived tick rate (cycles/s x
+    // every component overstated the ticks run by orders of magnitude
+    // once idle components sleep; the exact per-class tick counts are
+    // the profiler's engine.class.*_ticks).
+    EXPECT_EQ(hostKeys(json), expected);
+    EXPECT_EQ(json.find("ticks"), std::string::npos);
+
+    const auto root = TinyJsonParser(json).parse();
+    EXPECT_DOUBLE_EQ(root->at("machine.host.cycles").number, 512.0);
+    EXPECT_GT(root->at("machine.host.cycles_per_sec").number, 0.0);
+    // No registry bound: its footprint reads 0.
+    EXPECT_EQ(root->at("machine.host.mem.metric_registry_bytes").number,
+              0.0);
+}
+
+TEST(MachineHostJson, PhasesFitInsideWallSeconds)
+{
+    Machine m = makeLoadedMachine(2, 0);
+    preInject(m);
+    m.run(RunSpec::forCycles(256));
+    m.run(RunSpec::forCycles(256)); // run time accumulates over calls
+    const auto root = TinyJsonParser(m.hostJson()).parse();
+    const double build = root->at("machine.host.phase.build_seconds").number;
+    const double run = root->at("machine.host.phase.run_seconds").number;
+    EXPECT_GE(build, 0.0);
+    EXPECT_GT(run, 0.0);
+    EXPECT_LE(build + run,
+              root->at("machine.host.wall_seconds").number + 1e-9);
+    EXPECT_DOUBLE_EQ(root->at("machine.host.cycles_per_sec").number,
+                     512.0 / run);
+}
+
+TEST(MachineHostJson, EngineGaugesOnlyWithAProfiler)
+{
+    auto engineKeys = [](Machine &m) {
+        std::size_t n = 0;
+        for (const std::string &key : hostKeys(m.hostJson()))
+            n += key.rfind("machine.host.engine.", 0) == 0 ? 1 : 0;
+        return n;
+    };
+    Machine bare = makeLoadedMachine(1, 0);
+    bare.run(RunSpec::forCycles(64));
+    EXPECT_EQ(engineKeys(bare), 0u);
+
+    Machine profiled = makeLoadedMachine(1, 0);
+    attachHostProfile(profiled);
+    profiled.run(RunSpec::forCycles(64));
+    EXPECT_EQ(engineKeys(profiled), profiled.hostProfile()->gauges().size());
+    // The engine gauges sit between mem.* and phase.*.
+    const auto keys = hostKeys(profiled.hostJson());
+    ASSERT_GT(keys.size(), 8u);
+    EXPECT_EQ(keys[6], "machine.host.engine.windows");
+    EXPECT_EQ(keys[keys.size() - 2], "machine.host.phase.build_seconds");
+}
+
+TEST(MachineHostJson, ValidBeforeAnyRun)
+{
+    Machine m = makeLoadedMachine(1, 0);
+    const auto root = TinyJsonParser(m.hostJson()).parse();
+    EXPECT_DOUBLE_EQ(root->at("machine.host.cycles").number, 0.0);
+    EXPECT_DOUBLE_EQ(root->at("machine.host.cycles_per_sec").number, 0.0);
+    EXPECT_DOUBLE_EQ(root->at("machine.host.phase.run_seconds").number,
+                     0.0);
+    // The build phase is still open: it runs up to now.
+    EXPECT_LE(root->at("machine.host.phase.build_seconds").number,
+              root->at("machine.host.wall_seconds").number);
 }
 
 // ---------------------------------------------------------------------
@@ -500,96 +596,6 @@ TEST(HostTimeline, ChromeJsonLoadsAndCoversWindows)
     // Every detail window contributes its serial-replay slice (lane
     // tick slices can be skipped when a lane recorded no span).
     EXPECT_EQ(serial_slices, p.detailWindows());
-}
-
-// ---------------------------------------------------------------------
-// HostProfiler hardening
-// ---------------------------------------------------------------------
-
-TEST(HostProfilerHardening, OpenPhaseIsCountedWithoutEndPhase)
-{
-    HostProfiler prof;
-    prof.beginPhase("open");
-    EXPECT_EQ(prof.openPhase(), "open");
-    // A still-open phase reports its elapsed time - phaseSeconds must
-    // not require endPhase() first.
-    const double t0 = prof.phaseSeconds("open");
-    EXPECT_GE(t0, 0.0);
-    volatile double sink = 0.0;
-    for (int i = 0; i < 100000; ++i)
-        sink = sink + 1.0;
-    EXPECT_GE(prof.phaseSeconds("open"), t0);
-    EXPECT_LE(prof.phaseSeconds("open"), prof.wallSeconds() + 1e-6);
-}
-
-TEST(HostProfilerHardening, ReenteredPhaseAccumulates)
-{
-    HostProfiler prof;
-    prof.beginPhase("a");
-    prof.endPhase();
-    const double first = prof.phaseSeconds("a");
-    prof.beginPhase("b");
-    // Re-entering "a" banks "b" and opens a new "a" slice; the name's
-    // total accumulates across both slices.
-    prof.beginPhase("a");
-    EXPECT_EQ(prof.openPhase(), "a");
-    EXPECT_GE(prof.phaseSeconds("a"), first);
-    EXPECT_GE(prof.phaseSeconds("b"), 0.0);
-    prof.endPhase();
-    EXPECT_EQ(prof.openPhase(), "");
-}
-
-TEST(HostProfilerHardening, StrayEndPhaseIsHarmless)
-{
-    HostProfiler prof;
-    prof.endPhase(); // nothing open - must be a no-op, not UB
-    prof.endPhase();
-    EXPECT_EQ(prof.openPhase(), "");
-    prof.beginPhase("x");
-    prof.endPhase();
-    prof.endPhase(); // second end after the close is also a no-op
-    EXPECT_GE(prof.phaseSeconds("x"), 0.0);
-}
-
-TEST(HostProfilerHardening, PhaseSecondsNeverExceedWallSeconds)
-{
-    HostProfiler prof;
-    prof.beginPhase("build");
-    volatile double sink = 0.0;
-    for (int i = 0; i < 50000; ++i)
-        sink = sink + 1.0;
-    prof.beginPhase("run");
-    for (int i = 0; i < 50000; ++i)
-        sink = sink + 1.0;
-    // "run" intentionally left open: toJson must fold it in and the
-    // sum of phases must still bound below the wall clock.
-    const std::string json = prof.toJson(1000, 10);
-    const auto root = TinyJsonParser(json).parse();
-    const double wall = root->at("machine.host.wall_seconds").number;
-    double phase_sum = 0.0;
-    for (const auto &[key, value] : root->object) {
-        if (key.rfind("machine.host.phase.", 0) == 0)
-            phase_sum += value->number;
-    }
-    EXPECT_GT(phase_sum, 0.0);
-    EXPECT_LE(phase_sum, wall + 1e-6);
-}
-
-TEST(HostProfilerHardening, ExtraGaugesOverwriteByKeyKeepOrder)
-{
-    HostProfiler prof;
-    prof.setExtraGauge("engine.windows", 1.0);
-    prof.setExtraGauge("engine.lanes", 4.0);
-    prof.setExtraGauge("engine.windows", 7.0); // overwrite, not append
-    const std::string json = prof.toJson(0, 0);
-    const auto root = TinyJsonParser(json).parse();
-    EXPECT_DOUBLE_EQ(root->at("machine.host.engine.windows").number, 7.0);
-    EXPECT_DOUBLE_EQ(root->at("machine.host.engine.lanes").number, 4.0);
-    // Overwriting must not duplicate the key in the serialized JSON.
-    const auto first = json.find("machine.host.engine.windows");
-    ASSERT_NE(first, std::string::npos);
-    EXPECT_EQ(json.find("machine.host.engine.windows", first + 1),
-              std::string::npos);
 }
 
 // ---------------------------------------------------------------------
@@ -767,24 +773,6 @@ TEST(BenchFlagValidation, TimelinePathImpliesProfiling)
     EXPECT_FALSE(hp.enabled);
     EXPECT_TRUE(hp.validate());
     EXPECT_TRUE(hp.enabled);
-}
-
-TEST(BenchFlagValidation, TimelineRejectsMultiRunSweeps)
-{
-    bench::HostProfileOptions hp;
-    hp.timeline = "/dev/null";
-    ASSERT_TRUE(hp.validate());
-    testing::internal::CaptureStderr();
-    EXPECT_FALSE(bench::validateTimelineSingleRun(hp, 3));
-    EXPECT_NE(testing::internal::GetCapturedStderr().find(
-                  "error: --host-profile=PATH writes one run's "
-                  "timeline"),
-              std::string::npos);
-    EXPECT_TRUE(bench::validateTimelineSingleRun(hp, 1));
-    // No timeline requested: any sweep size is fine.
-    bench::HostProfileOptions plain;
-    plain.enabled = true;
-    EXPECT_TRUE(bench::validateTimelineSingleRun(plain, 8));
 }
 
 // ---------------------------------------------------------------------

@@ -23,7 +23,9 @@
  *    the same forensic report whether the run is serial or threaded,
  *    windowed or per-cycle;
  *  - a seeded randomized config sweep (property test) and a pinned
- *    8x8x8 short-run regression matching bench_host_speed --cycles 200.
+ *    8x8x8 short-run regression: 200 open-loop cycles at 60% of
+ *    analytic saturation (the name keeps the host-speed bench it was
+ *    first taken from).
  */
 #include <gtest/gtest.h>
 
@@ -919,10 +921,12 @@ TEST(LookaheadDeterminism, FaultedWatchdogTripsAtSameCycleUnderLookahead)
 }
 
 // ---------------------------------------------------------------------
-// Pinned 8x8x8 short-run regression (bench_host_speed --cycles 200)
+// Pinned 8x8x8 short-run regression (200 open-loop cycles)
 // ---------------------------------------------------------------------
 
-/** Replicates bench_host_speed's runLoad() at --cycles 200 defaults. */
+/** 8x8x8, 8 endpoints per chip, 4 cores injecting uniform traffic
+ * open-loop at 60% of the analytic saturation point for 200 cycles;
+ * returns the delivered count. */
 std::uint64_t
 runBenchLoad8x8x8(int threads, Cycle lookahead)
 {

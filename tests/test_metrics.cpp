@@ -187,7 +187,6 @@ makeMachine()
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 8;
     cfg.seed = 7;
-    cfg.enable_metrics = true;
     return Machine(cfg);
 }
 
@@ -256,6 +255,7 @@ TEST(MetricsRegistry, WarmupResetMeasureMatchesFreshMeasure)
 
     // Machine A: warmup traffic, quiesce, reset, then measure.
     Machine warmed = makeMachine();
+    warmed.attachInstrumentation({ .metrics = true });
     drive(warmed, 24, /*route_seed=*/11);
     EXPECT_GT(warmed.metrics()->findCounter("machine.delivered")->value(),
               0u);
@@ -267,6 +267,7 @@ TEST(MetricsRegistry, WarmupResetMeasureMatchesFreshMeasure)
 
     // Machine B: the measurement phase alone.
     Machine fresh = makeMachine();
+    fresh.attachInstrumentation({ .metrics = true });
     drive(fresh, 16, /*route_seed=*/42);
     const auto baseline = Snapshot::take(fresh);
 

@@ -18,10 +18,10 @@
  *  - the hot-spot digest is sorted, k-bounded, conserves the axis flit
  *    totals against the raw adapter counters, and is level-independent
  *    (it is built from always-on counters, not from metrics);
- *  - HostProfiler::setMemStats() surfaces the `machine.host.mem.*`
- *    gauges with positive values;
- *  - an 8x8x8 short-run delivered-count regression (the
- *    bench_host_speed --cycles 200 workload from test_lookahead.cpp)
+ *  - Machine::hostJson() surfaces the `machine.host.mem.*` gauges
+ *    with positive values;
+ *  - an 8x8x8 short-run delivered-count regression (the 200-cycle
+ *    open-loop workload pinned bare in test_lookahead.cpp)
  *    exercised at `machine` metrics level, proving coarse telemetry
  *    does not perturb the simulated machine.
  */
@@ -354,21 +354,9 @@ TEST(HotspotDigestSuite, SortedBoundedConservativeLevelIndependent)
 
 TEST(HostMemGauges, SetMemStatsSurfacesPositiveGauges)
 {
+    // Machine::hostJson always carries the memory footprint.
     const auto m = runAtLevel(MetricsLevel::Chip);
-    HostProfiler prof;
-    prof.beginPhase("run");
-    prof.endPhase();
-
-    // Before setMemStats the mem gauges stay absent.
-    const std::string before =
-        prof.toJson(m->now(), m->engine().componentCount());
-    EXPECT_EQ(before.find("machine.host.mem."), std::string::npos);
-
-    prof.setMemStats(m->packetPoolBytes(),
-                     m->metrics()->approxBytes());
-    const std::string after =
-        prof.toJson(m->now(), m->engine().componentCount());
-    const auto root = TinyJsonParser(after).parse();
+    const auto root = TinyJsonParser(m->hostJson()).parse();
     EXPECT_GT(root->at("machine.host.mem.peak_rss_bytes").number, 0.0);
     EXPECT_GT(root->at("machine.host.mem.packet_pool_bytes").number, 0.0)
         << "a finished run should have parked packets in the pool";
@@ -382,8 +370,8 @@ TEST(HostMemGauges, SetMemStatsSurfacesPositiveGauges)
 
 TEST(RollupRegression, Pinned8x8x8DeliveredAtMachineLevel)
 {
-    // The same workload test_lookahead.cpp pins bare (bench_host_speed
-    // --cycles 200): here it runs under `machine`-level telemetry plus
+    // The same workload test_lookahead.cpp pins bare (200 open-loop
+    // cycles): here it runs under `machine`-level telemetry plus
     // the run report, proving coarse observability neither perturbs the
     // simulated machine nor loses the delivered count in the rollup.
     constexpr std::uint64_t kExpectedDelivered = 2431;

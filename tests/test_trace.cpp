@@ -123,8 +123,8 @@ runTraced(std::uint64_t seed, std::uint64_t sample = 1)
     cfg.use_packaging = false;
     cfg.fixed_torus_latency = 12;
     cfg.seed = seed;
-    cfg.enable_metrics = true;
     Machine m(cfg);
+    m.attachInstrumentation({ .metrics = true });
     TraceConfig tc;
     tc.capacity = std::size_t{ 1 } << 16;
     tc.sample = sample;
