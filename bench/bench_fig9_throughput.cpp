@@ -110,17 +110,20 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
     const Cycle max_cycles =
         static_cast<Cycle>(batch) * 2000 + 200000;
     // The last probe run (uniform, largest batch) is the one whose
-    // report ships, so it alone gets the warm-start checkpoint I/O:
-    // --checkpoint-out writes its steady-state image, --checkpoint-in
-    // restores into it. The 2-hop probe would otherwise overwrite the
-    // image / restore another pattern's traffic.
+    // report ships, so it alone does the file I/O: the warm-start
+    // checkpoint (--checkpoint-out writes its steady-state image,
+    // --checkpoint-in restores into it) and the trace, flow-matrix and
+    // host-timeline exports. The 2-hop probe would otherwise write each
+    // file first, only to be overwritten, or restore another pattern's
+    // traffic.
+    const bool ships = probe && std::string(pattern_name) == "uniform";
     RunSpec spec = RunSpec::untilDelivered(driver.deliveredTarget(),
                                            max_cycles);
-    if (probe && std::string(pattern_name) == "uniform")
+    if (ships)
         run.ckpt.addTo(spec);
     const StopReason why = m.run(spec).reason;
 
-    if (probe) {
+    if (ships) {
         run.trace.write(m);
         run.flows.write(m);
     }
@@ -139,7 +142,8 @@ runBatch(const std::vector<int> &radix, int cores, ArbPolicy policy,
     if (probe) {
         res.timeseries_json = run.ts.jsonSection(m);
         run.audit.write(m);
-        run.host_profile.write(m);
+        if (ships)
+            run.host_profile.write(m);
         res.audit_json = run.audit.jsonSection(m);
         res.report_json = run.report.bodyJson(m);
     }
@@ -206,7 +210,7 @@ main(int argc, char **argv)
              batch <= max_batch; batch *= 4) {
             // The telemetry snapshot (and the event trace / time series,
             // when enabled) comes from the largest batch of each sweep;
-            // the last pattern's probe run wins the output files.
+            // the last pattern's probe run is the one that ships.
             const bool probe =
                 (json_path != nullptr || run.trace.enabled()
                  || run.flows.enabled() || run.ts.enabled()

@@ -201,35 +201,32 @@ Chip::bindMetrics(MetricsRegistry &reg, double lat_bin_width)
 }
 
 void
-Chip::bindObservers(ObserverBus &bus)
+Chip::bindObservers(ObserverBus &bus, FlowProbe *probe)
 {
     const auto node = static_cast<std::int32_t>(node_);
-    FlowProbe *probe = bus.flows();
     const MeshGeom &mesh = layout_.mesh();
+    auto site = [&](FlowUnitKind kind, int unit, std::string name) {
+        return probe != nullptr
+                   ? probe->bindUnit(node, kind, unit, std::move(name))
+                   : FlowSite{};
+    };
     for (RouterId r = 0; r < layout_.numRouters(); ++r) {
         Router &router = *routers_[static_cast<std::size_t>(r)];
-        router.bindObservers(bus, node, static_cast<std::int16_t>(r));
+        router.bindObservers(bus, node, static_cast<std::int16_t>(r),
+                             site(FlowUnitKind::Router, r,
+                                  "r" + std::to_string(mesh.u(r)) + "."
+                                      + std::to_string(mesh.v(r))));
         if (bus.trace() != nullptr)
             router.enableStallSampling();
-        if (probe != nullptr) {
-            probe->registerUnit(node, FlowUnitKind::Router, r,
-                                "r" + std::to_string(mesh.u(r)) + "."
-                                    + std::to_string(mesh.v(r)));
-        }
     }
     for (int ca = 0; ca < layout_.numChannelAdapters(); ++ca) {
         channel_adapters_[static_cast<std::size_t>(ca)]->bindObservers(
-            bus, node, static_cast<std::int16_t>(ca));
-        if (probe != nullptr) {
-            probe->registerUnit(node, FlowUnitKind::Link, ca,
-                                layout_.channelShortName(ca));
-        }
+            bus, node, static_cast<std::int16_t>(ca),
+            site(FlowUnitKind::Link, ca, layout_.channelShortName(ca)));
     }
     for (EndpointId e = 0; e < layout_.numEndpoints(); ++e) {
-        endpoints_[static_cast<std::size_t>(e)]->bindObservers(bus);
-        if (probe != nullptr)
-            probe->registerUnit(node, FlowUnitKind::Endpoint, e,
-                                "ep" + std::to_string(e));
+        endpoints_[static_cast<std::size_t>(e)]->bindObservers(
+            bus, site(FlowUnitKind::Endpoint, e, "ep" + std::to_string(e)));
     }
 }
 

@@ -89,12 +89,12 @@ class Chip
     /**
      * Bind every component of this chip to @p bus (see the components'
      * bindObservers for what each emits). With a trace sink attached,
-     * routers also start stall sampling; with a flow probe attached,
-     * every router, channel adapter, and endpoint registers its unit
-     * name with the probe. Idempotent: call again after attaching a
-     * further subscriber.
+     * routers also start stall sampling; with a flow @p probe (may be
+     * null), every router, channel adapter, and endpoint is bound to
+     * its own named unit of the probe. Idempotent: call again after
+     * attaching a further observer.
      */
-    void bindObservers(ObserverBus &bus);
+    void bindObservers(ObserverBus &bus, FlowProbe *probe);
 
     NodeId node() const { return node_; }
     const ChipLayout &layout() const { return layout_; }

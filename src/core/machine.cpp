@@ -214,9 +214,7 @@ Machine::allocPacket()
 void
 Machine::serialPhase(Cycle now)
 {
-    // Observer records merge before the delivery flush: every hop of a
-    // packet delivered this cycle must be applied before the delivery
-    // closes its flight into the flow matrix.
+    // Trace events staged for this cycle, in canonical order.
     obs_.merge(now);
     // Visit only the endpoints holding staged deliveries, in
     // flush_order_ order. Each lane recorded its endpoints as they
@@ -892,12 +890,12 @@ Machine::doEnableFlows(const FlowProbeConfig &cfg)
 {
     if (flow_ != nullptr)
         return *flow_;
-    flow_ = std::make_unique<FlowProbe>(cfg);
-    obs_.attachFlows(*flow_);
-    // Unlike tracing's stall samplers, hop records are emitted only
-    // when flits actually move, so idle components still sleep.
+    flow_ = std::make_unique<FlowProbe>(
+        cfg, static_cast<std::size_t>(geom_.numNodes()));
+    // Unlike tracing's stall samplers, hops are accounted only when
+    // flits actually move, so idle components still sleep.
     for (auto &c : chips_)
-        c->bindObservers(obs_);
+        c->bindObservers(obs_, flow_.get());
     return *flow_;
 }
 
@@ -921,7 +919,7 @@ Machine::doEnableTracing(const TraceConfig &cfg)
     // before its sampler existed.
     engine_.settle();
     for (auto &c : chips_)
-        c->bindObservers(obs_);
+        c->bindObservers(obs_, flow_.get());
     return *trace_;
 }
 

@@ -579,10 +579,9 @@ class Machine
     Auditor &doEnableAudit(const AuditConfig &cfg); // machine_audit.cpp
     void applyFault(const NetworkFault &f);         // machine_audit.cpp
     /** Per-cycle post-barrier work: merge the observer bus's staged
-     * records, then run deferred delivery side effects in endpoint
-     * registration order (so a cycle's hop records land before the
-     * deliveries that close those packets' flights), visiting only the
-     * endpoints that hold some. */
+     * trace events, then run deferred delivery observations (metrics,
+     * flow records, the deliver hook) in endpoint registration order,
+     * visiting only the endpoints that hold some. */
     void serialPhase(Cycle now);
     void prepareUnicast(Packet &pkt);
     /** A fresh packet from the pool, with its id drawn from @p src's
@@ -670,8 +669,9 @@ class Machine
     std::unique_ptr<MetricsRegistry> metrics_;
     Counter *m_delivered_ = nullptr; ///< machine.delivered
     ScalarStat *m_hops_ = nullptr;   ///< machine.hops per delivery
-    /** Carries trace and flow records from the components to trace_
-     * and flow_ (staged per lane, merged in serialPhase). */
+    /** Carries trace events from the components to trace_ (staged per
+     * lane, merged in serialPhase). Flow hops bypass it: components
+     * account them into flow_'s units and the packets' hop logs. */
     ObserverBus obs_;
     std::unique_ptr<RingTraceSink> trace_;
     std::unique_ptr<FlowProbe> flow_;

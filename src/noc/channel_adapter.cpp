@@ -84,9 +84,9 @@ ChannelAdapter::bindMetrics(MetricsRegistry &reg, const std::string &prefix)
 
 void
 ChannelAdapter::bindObservers(ObserverBus &bus, std::int32_t node,
-                              std::int16_t unit)
+                              std::int16_t unit, FlowSite flow)
 {
-    obs_ = ObsBinding{ &bus, node, unit };
+    obs_ = ObsBinding{ &bus, node, unit, flow };
 }
 
 void
@@ -185,12 +185,10 @@ ChannelAdapter::tickEgress(Cycle now)
             if (metrics_ != nullptr)
                 metrics_->flits_sent->inc();
             if (tail) {
-                // Emit the link hop span while the entry is live (all
+                // Account the link hop while the entry is live (all
                 // cycles are existing state - no clock reads).
-                flowHopEvent(obs_, FlowUnitKind::Link, head.pkt->id,
-                             head.pkt->mcast_group, head.pkt->size_flits,
-                             head.head_at, egress_grant_at_, now, -1,
-                             egress_link_vc_);
+                obs_.flow.hop(*head.pkt, head.head_at, egress_grant_at_,
+                              now, -1, egress_link_vc_);
                 buf.popHead(now);
                 if (buf.empty())
                     egress_nonempty_ &= ~(1u << egress_vc_);

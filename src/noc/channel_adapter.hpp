@@ -113,12 +113,13 @@ class ChannelAdapter final : public Component
      * Start emitting onto @p bus, stamped with this adapter's
      * coordinates (@p node, @p unit = adapter index on the chip):
      * link-traverse events (head flit serialized onto the torus link)
-     * while a trace sink is attached, and one egress hop span per
-     * packet (arrival, link grant, tail-serialized departure) while a
-     * flow probe is attached.
+     * while a trace sink is attached; and, while @p flow is bound,
+     * account one egress hop per packet (arrival, link grant,
+     * tail-serialized departure) into this link's blame counters and
+     * the packet's hop log.
      */
     void bindObservers(ObserverBus &bus, std::int32_t node,
-                       std::int16_t unit);
+                       std::int16_t unit, FlowSite flow);
 
     const ChannelAdapterConfig &config() const { return cfg_; }
     std::uint64_t flitsSent() const { return flits_sent_; }

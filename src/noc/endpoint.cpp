@@ -84,10 +84,10 @@ EndpointAdapter::bindMetrics(MetricsRegistry &reg,
 }
 
 void
-EndpointAdapter::bindObservers(ObserverBus &bus)
+EndpointAdapter::bindObservers(ObserverBus &bus, FlowSite flow)
 {
     obs_ = ObsBinding{ &bus, static_cast<std::int32_t>(addr_.node),
-                       static_cast<std::int16_t>(addr_.ep) };
+                       static_cast<std::int16_t>(addr_.ep), flow };
 }
 
 void
@@ -123,10 +123,8 @@ EndpointAdapter::tickInject(Cycle now)
                              -1, vc);
             // Source-queueing span: birth -> injection grant. Both
             // cycles already exist; the probe reads no clock.
-            flowHopEvent(obs_, FlowUnitKind::Endpoint, inj_active_->id,
-                         inj_active_->mcast_group,
-                         inj_active_->size_flits, inj_active_->birth,
-                         now, now, -1, vc);
+            obs_.flow.hop(*inj_active_, inj_active_->birth, now, now, -1,
+                          vc);
             break;
         }
     }
@@ -237,10 +235,10 @@ EndpointAdapter::observeDelivery(const PacketPtr &pkt, Cycle head_at,
         metrics_->lat_total->add(static_cast<double>(now - pkt->birth));
     }
 
-    // Close the packet's flight in the flow matrix. Under a Machine
-    // this runs in the serial delivery flush (canonical order), after
-    // the cycle's staged hop records were merged.
-    FlowProbe *probe = obs_.bus != nullptr ? obs_.bus->flows() : nullptr;
+    // Close the packet's flight in the flow matrix, handing over the
+    // hop log the packet carried. Under a Machine this runs in the
+    // serial delivery flush, in canonical order.
+    FlowProbe *probe = obs_.flow.probe;
     if (probe != nullptr && pkt->mcast_group < 0) {
         FlowDeliveryRecord d;
         d.packet = pkt->id;
@@ -253,7 +251,7 @@ EndpointAdapter::observeDelivery(const PacketPtr &pkt, Cycle head_at,
         d.hops = pkt->hops;
         d.birth = pkt->birth;
         d.delivered = now;
-        probe->recordDelivery(d);
+        probe->recordDelivery(d, pkt->flow_hops);
     }
 
     if (deliver_fn_)

@@ -151,12 +151,12 @@ class EndpointAdapter final : public Component
     /**
      * Start emitting onto @p bus, stamped with this endpoint's address:
      * packet lifecycle events (inject at injection grant, eject at full
-     * reassembly) while a trace sink is attached; while a flow probe is
-     * attached, a source-queueing span at each injection grant and the
+     * reassembly) while a trace sink is attached; while @p flow is
+     * bound, a source-queueing hop at each injection grant and the
      * flight-closing delivery record (from the serial delivery flush)
-     * that lands the packet in its flow-matrix cell.
+     * that lands the packet and its hop log in its flow-matrix cell.
      */
-    void bindObservers(ObserverBus &bus);
+    void bindObservers(ObserverBus &bus, FlowSite flow);
 
     void setDeliverFn(DeliverFn fn) { deliver_fn_ = std::move(fn); }
     /** Install (or clear, with null) the counted-write handler. */

@@ -18,6 +18,7 @@
 #include "core/chip_layout.hpp"
 #include "routing/route.hpp"
 #include "routing/vc_promotion.hpp"
+#include "sim/flow.hpp"
 #include "sim/types.hpp"
 #include "topo/torus.hpp"
 
@@ -38,6 +39,7 @@ inline constexpr int kMaxPacketFlits = 2;
 /** The two traffic classes (request/reply) avoiding protocol deadlock. */
 enum class TrafficClass : std::uint8_t { Request = 0, Reply = 1 };
 inline constexpr int kNumTrafficClasses = 2;
+static_assert(kNumTrafficClasses == kFlowTrafficClasses);
 
 /** Remote-memory operation carried by a packet (Section 2.1). */
 enum class OpKind : std::uint8_t
@@ -86,13 +88,17 @@ struct Packet
     VcState vc{ VcPolicy::Anton2 };   ///< promotion state, updated en route
     AttachPoint chip_exit;            ///< exit point on the current chip
     bool x_through = false;           ///< current chip traversal uses skip
+    int hops = 0; ///< inter-node hops taken (for latency-vs-hops plots)
 
     // --- timestamps (free-running cycle counters, Section 4) -----------
     Cycle birth = 0;       ///< creation time (age-based arbitration)
     Cycle inject_time = 0; ///< first flit entered the network
     Cycle eject_time = 0;  ///< last flit delivered
 
-    int hops = 0; ///< inter-node hops taken (for latency-vs-hops plots)
+    /** The flow probe's per-hop log, appended by each unit the packet
+     * leaves while a probe is attached (sim/flow.hpp) and handed to the
+     * probe at delivery. Observer state: never checkpointed. */
+    FlowHopLog flow_hops;
 };
 
 using PacketPtr = std::shared_ptr<Packet>;

@@ -84,9 +84,9 @@ Router::bindMetrics(MetricsRegistry &reg, const std::string &prefix)
 
 void
 Router::bindObservers(ObserverBus &bus, std::int32_t node,
-                      std::int16_t unit)
+                      std::int16_t unit, FlowSite flow)
 {
-    obs_ = ObsBinding{ &bus, node, unit };
+    obs_ = ObsBinding{ &bus, node, unit, flow };
 }
 
 void
@@ -359,13 +359,11 @@ Router::stageSt(Cycle now)
         vcbuf.sendFlit();
 
         if (tail) {
-            // Emit the hop span while the entry's pipeline timestamps
+            // Account the hop while the entry's pipeline timestamps
             // are still live (every cycle below is existing state - no
             // clock is read for the probe).
-            flowHopEvent(obs_, FlowUnitKind::Router, head.pkt->id,
-                         head.pkt->mcast_group, head.pkt->size_flits,
-                         head.head_at, head.granted_at, now,
-                         static_cast<int>(o), op.out_vc);
+            obs_.flow.hop(*head.pkt, head.head_at, head.granted_at, now,
+                          static_cast<int>(o), op.out_vc);
             vcbuf.popHead(now);
             const std::uint32_t bit = 1u << op.src_vc;
             if (vcbuf.empty())

@@ -103,11 +103,12 @@ class Router final : public Component
      * Start emitting onto @p bus, stamped with this router's
      * coordinates (@p node, @p unit): packet lifecycle events
      * (route-computed, VC-allocated, switch-grant) while a trace sink
-     * is attached, and one hop span per packet (arrival, SA2 grant,
-     * switch-traversal departure) while a flow probe is attached.
+     * is attached; and, while @p flow is bound, account one hop per
+     * packet (arrival, SA2 grant, switch-traversal departure) into this
+     * router's blame counters and the packet's hop log.
      */
     void bindObservers(ObserverBus &bus, std::int32_t node,
-                       std::int16_t unit);
+                       std::int16_t unit, FlowSite flow);
 
     /**
      * Start classifying every connected output port's cycles into stall

@@ -45,14 +45,14 @@
  * paths between shards are the cross-shard wires, so a window of any
  * size gives the same results as window 1.
  *
- * Work that only *observes* shared state (shared statistics, trace and
- * flow records, delivery hooks) runs in the *serial phase*: after the
- * barrier, for each cycle of the window in order, registered
- * serial-phase hooks fire on the calling thread, then serial-tail
- * components (samplers, auditors, progress meters, driver bookkeeping)
- * tick in registration order - a per-cycle replay in the canonical
- * order. The serial schedule is the same whether the parallel phase ran
- * on one thread or eight, which is what makes the exports
+ * Work that only *observes* shared state (shared statistics, staged
+ * trace events, flow deliveries, delivery hooks) runs in the *serial
+ * phase*: after the barrier, for each cycle of the window in order,
+ * registered serial-phase hooks fire on the calling thread, then
+ * serial-tail components (samplers, auditors, progress meters, driver
+ * bookkeeping) tick in registration order - a per-cycle replay in the
+ * canonical order. The serial schedule is the same whether the parallel
+ * phase ran on one thread or eight, which is what makes the exports
  * byte-identical at any thread count. Serial-phase work must not feed
  * state back into a shard. Observation points that must read shard
  * state at exact cycles (samplers, auditors) register a barrier

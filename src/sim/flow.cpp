@@ -1,6 +1,7 @@
 #include "sim/flow.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "sim/metrics.hpp" // jsonNumber / jsonEscape
@@ -53,54 +54,49 @@ FlowCell::p99Estimate() const
     return static_cast<double>(lat_max);
 }
 
-FlowProbe::FlowProbe(const FlowProbeConfig &cfg)
-    : cfg_(cfg)
+FlowProbe::FlowProbe(const FlowProbeConfig &cfg, std::size_t num_nodes)
+    : cfg_(cfg), num_nodes_(num_nodes),
+      cell_at_(num_nodes * num_nodes * kFlowTrafficClasses, nullptr)
 {
     if (cfg_.topk < 1)
         cfg_.topk = 1;
 }
 
-void
-FlowProbe::registerUnit(std::int32_t node, FlowUnitKind kind, int unit,
-                        std::string name)
+FlowSite
+FlowProbe::bindUnit(std::int32_t node, FlowUnitKind kind, int unit,
+                    std::string name)
 {
-    FlowUnitBlame &b = blame_[FlowUnitKey{ node, kind, unit }];
-    b.name = std::move(name);
-}
-
-bool
-FlowProbe::keepPaths(std::uint64_t packet) const
-{
-    if (!cfg_.digest_only)
-        return true;
-    return cfg_.sample > 0 && packet % cfg_.sample == 0;
-}
-
-void
-FlowProbe::apply(const FlowHopRecord &r)
-{
-    auto it = blame_.find(FlowUnitKey{ r.node, r.kind, r.unit });
-    if (it == blame_.end()) {
-        it = blame_.emplace(FlowUnitKey{ r.node, r.kind, r.unit },
-                            FlowUnitBlame{ "?", 0, 0, 0, 0 })
-                 .first;
+    const FlowUnitKey key{ node, kind, unit };
+    const auto [it, fresh] = unit_index_.try_emplace(
+        key, static_cast<std::uint32_t>(units_.size()));
+    if (fresh) {
+        assert(units_.size() < kFlowMaxUnits && "too many flow units");
+        units_.emplace_back(key, FlowUnitBlame{});
     }
-    FlowUnitBlame &b = it->second;
-    ++b.packets;
-    b.flits += static_cast<std::uint64_t>(r.size_flits);
-    b.queue_wait += r.grant >= r.arrival ? r.grant - r.arrival : 0;
-    b.xfer_cycles += r.cycle >= r.grant ? r.cycle - r.grant : 0;
-    if (keepPaths(r.packet))
-        inflight_[r.packet].push_back(r);
+    units_[it->second].second.name = std::move(name);
+    return FlowSite{ this, it->second };
 }
 
 void
-FlowProbe::recordDelivery(const FlowDeliveryRecord &d)
+FlowProbe::recordDelivery(const FlowDeliveryRecord &d, FlowHopLog &path)
 {
     ++deliveries_;
     const Cycle lat =
         d.delivered >= d.birth ? d.delivered - d.birth : 0;
-    FlowCell &c = cells_[FlowKey{ d.src_node, d.dst_node, d.tc }];
+    assert(d.src_node >= 0
+           && static_cast<std::size_t>(d.src_node) < num_nodes_
+           && d.dst_node >= 0
+           && static_cast<std::size_t>(d.dst_node) < num_nodes_
+           && d.tc >= 0 && d.tc < kFlowTrafficClasses
+           && "delivery outside the probe's node range");
+    FlowCell *&slot =
+        cell_at_[(static_cast<std::size_t>(d.src_node) * num_nodes_
+                  + static_cast<std::size_t>(d.dst_node))
+                     * kFlowTrafficClasses
+                 + static_cast<std::size_t>(d.tc)];
+    if (slot == nullptr)
+        slot = &cells_[FlowKey{ d.src_node, d.dst_node, d.tc }];
+    FlowCell &c = *slot;
     if (c.packets == 0) {
         c.lat_min = lat;
         c.lat_max = lat;
@@ -122,40 +118,61 @@ FlowProbe::recordDelivery(const FlowDeliveryRecord &d)
     bucket = std::min(bucket, kFlowLatencyBuckets - 1);
     ++c.lat_log2[static_cast<std::size_t>(bucket)];
 
-    auto path = inflight_.find(d.packet);
-    // Strictly-greater keeps the first-delivered worst packet, and
-    // deliveries happen in the canonical serial flush order, so the
-    // exemplar is thread-count independent.
-    if (c.packets == 1 || lat > c.worst_latency) {
-        c.worst_packet = d.packet;
-        c.worst_latency = lat;
-        if (!cfg_.digest_only) {
-            c.worst_path = path != inflight_.end()
-                               ? path->second
-                               : std::vector<FlowHopRecord>{};
-        }
-    }
     if (cfg_.sample > 0 && d.packet % cfg_.sample == 0) {
         if (spans_.size() < cfg_.max_spans) {
-            Span s;
-            s.meta = d;
-            if (path != inflight_.end())
-                s.path = path->second;
-            spans_.push_back(std::move(s));
+            spans_.push_back(
+                Span{ d, decode(path, d.packet, d.size_flits, d.birth) });
         } else {
             ++dropped_spans_;
         }
     }
-    if (path != inflight_.end())
-        inflight_.erase(path);
+    // Strictly-greater keeps the first-delivered worst packet, and
+    // deliveries happen in the canonical serial flush order, so the
+    // exemplar is thread-count independent. A new exemplar takes the
+    // packet's log by swap; whatever the packet then holds is freed, so
+    // a log's storage lives only from the packet's first hop to its
+    // delivery.
+    if (c.packets == 1 || lat > c.worst_latency) {
+        c.worst_packet = d.packet;
+        c.worst_latency = lat;
+        c.worst_birth = d.birth;
+        if (!cfg_.digest_only)
+            c.worst_path.swap(path);
+    }
+    FlowHopLog().swap(path);
+}
+
+std::vector<FlowHopRecord>
+FlowProbe::decode(const FlowHopLog &path, std::uint64_t packet,
+                  int size_flits, Cycle birth) const
+{
+    std::vector<FlowHopRecord> out;
+    path.forEach(birth, [&](std::uint32_t unit, int port, int vc,
+                            Cycle arrival, Cycle grant, Cycle depart) {
+        const FlowUnitKey &key = units_[unit].first;
+        FlowHopRecord r;
+        r.cycle = depart;
+        r.arrival = arrival;
+        r.grant = grant;
+        r.packet = packet;
+        r.node = static_cast<std::int32_t>(key.node);
+        r.unit = static_cast<std::int16_t>(key.unit);
+        r.port = static_cast<std::int16_t>(port);
+        r.size_flits = static_cast<std::int16_t>(size_flits);
+        r.kind = key.kind;
+        r.vc = static_cast<std::uint8_t>(vc);
+        out.push_back(r);
+    });
+    return out;
 }
 
 const std::string &
 FlowProbe::unitName(std::int64_t node, FlowUnitKind kind, int unit) const
 {
     static const std::string unknown = "?";
-    const auto it = blame_.find(FlowUnitKey{ node, kind, unit });
-    return it == blame_.end() ? unknown : it->second.name;
+    const auto it = unit_index_.find(FlowUnitKey{ node, kind, unit });
+    return it == unit_index_.end() ? unknown
+                                   : units_[it->second].second.name;
 }
 
 namespace {
@@ -177,9 +194,11 @@ worseFlow(const std::pair<FlowKey, const FlowCell *> &a,
 }
 
 std::string
-hopPathJson(const FlowProbe &probe,
-            const std::vector<FlowHopRecord> &path)
+hopPathJson(const FlowProbe &probe, const FlowCell &c)
 {
+    // The exemplar's size does not enter the rendering.
+    const std::vector<FlowHopRecord> path =
+        probe.decode(c.worst_path, c.worst_packet, 0, c.worst_birth);
     std::string out = "[";
     for (std::size_t i = 0; i < path.size(); ++i) {
         const FlowHopRecord &h = path[i];
@@ -228,7 +247,7 @@ flowEntryJson(const FlowProbe &probe, const FlowKey &key,
         + jsonNumber(static_cast<double>(c.worst_packet))
         + ", \"latency\": "
         + jsonNumber(static_cast<double>(c.worst_latency))
-        + ", \"path\": " + hopPathJson(probe, c.worst_path) + "}}";
+        + ", \"path\": " + hopPathJson(probe, c) + "}}";
     return out;
 }
 
@@ -248,8 +267,8 @@ blameEntryJson(const FlowUnitKey &key, const FlowUnitBlame &b)
 /** Top-K blamed units of one kind: queue wait descending, then the
  * (node, unit) key ascending. */
 std::vector<std::pair<FlowUnitKey, const FlowUnitBlame *>>
-topBlamed(const std::map<FlowUnitKey, FlowUnitBlame> &blame,
-          FlowUnitKind kind, std::size_t k)
+topBlamed(const std::vector<FlowProbe::Unit> &blame, FlowUnitKind kind,
+          std::size_t k)
 {
     std::vector<std::pair<FlowUnitKey, const FlowUnitBlame *>> v;
     for (const auto &[key, b] : blame) {
@@ -304,7 +323,7 @@ FlowProbe::reportJson(bool full_matrix, std::size_t num_nodes,
                                   *worst[i].second);
     }
     out += worst.empty() ? "],\n" : "\n" + p2 + "],\n";
-    const auto links = topBlamed(blame_, FlowUnitKind::Link, cfg_.topk);
+    const auto links = topBlamed(units_, FlowUnitKind::Link, cfg_.topk);
     out += p2 + "\"blamed_links\": [";
     for (std::size_t i = 0; i < links.size(); ++i) {
         out += i == 0 ? "\n" : ",\n";
@@ -312,7 +331,7 @@ FlowProbe::reportJson(bool full_matrix, std::size_t num_nodes,
     }
     out += links.empty() ? "],\n" : "\n" + p2 + "],\n";
     const auto routers =
-        topBlamed(blame_, FlowUnitKind::Router, cfg_.topk);
+        topBlamed(units_, FlowUnitKind::Router, cfg_.topk);
     out += p2 + "\"blamed_routers\": [";
     for (std::size_t i = 0; i < routers.size(); ++i) {
         out += i == 0 ? "\n" : ",\n";

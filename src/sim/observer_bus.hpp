@@ -1,28 +1,24 @@
 /**
  * @file
- * The observer bus: the one path per-packet observer records take from
- * the components that emit them to the subscribers that interpret them.
+ * The observer bus: the path packet lifecycle events take from the
+ * components that emit them to the event trace (trace/trace.hpp: a
+ * RingTraceSink), plus each component's observer binding.
  *
- * Two observers watch packets hop by hop - the event trace
- * (trace/trace.hpp: lifecycle events into a RingTraceSink) and the flow
- * probe (sim/flow.hpp: per-hop spans into the flow matrix and blame
- * counters). Both share this bus, its one record type, and its one
- * staging store.
+ * The flow probe (sim/flow.hpp) does not ride the bus: each component
+ * accounts its own hops through the FlowSite in its ObsBinding, into
+ * its unit's counters and the packet's own hop log, so only trace
+ * events are staged here.
  *
- * Determinism contract (the staging every observer export relies on):
- * when the engine ticks shards on several lanes, or one lane several
- * cycles between barriers, emit() routes each record into a per-lane,
- * per-(cycle % depth) bucket instead of the subscriber. The engine's
- * serial replay calls merge(cycle) once per simulated cycle (before the
- * deferred-delivery flush, so every hop of a packet is applied before
- * the delivery that closes its flight), which drains that cycle's
- * bucket of every lane in lane order - reproducing the exact
+ * Determinism contract (the staging the trace exports rely on): when
+ * the engine ticks shards on several lanes, or one lane several cycles
+ * between barriers, emit() routes each event into a per-lane,
+ * per-(cycle % depth) bucket instead of the sink. The engine's serial
+ * replay calls merge(cycle) once per simulated cycle, which drains that
+ * cycle's bucket of every lane in lane order - reproducing the exact
  * (cycle-major, registration-order) stream a serial window-1 run would
- * have produced. Trace and hop records share a bucket, but each
- * subscriber only sees its own records, so neither stream is reordered
- * and every trace, flow, and report export is byte-identical at any
- * thread count and lookahead window. Truly serial emits (lane -1,
- * outside any engine parallel phase) bypass staging entirely.
+ * have produced, so every trace export is byte-identical at any thread
+ * count and lookahead window. Truly serial emits (lane -1, outside any
+ * engine parallel phase) bypass staging entirely.
  */
 #pragma once
 
@@ -42,40 +38,11 @@ namespace par {
 int currentLane();
 } // namespace par
 
-/** Which subscriber an ObsRecord is for. */
-enum class ObsTag : std::uint8_t
-{
-    Trace = 0,  ///< a packet lifecycle event (RingTraceSink)
-    FlowHop,    ///< a per-hop span (FlowProbe)
-};
-
-/**
- * The bus's one record type: FlowHopRecord's fields plus the tag. A
- * trace event fills cycle/packet/node/unit/port/vc, carries its
- * TraceUnitKind in `kind` and its TraceEventType in `event`, and leaves
- * the span fields (arrival, grant, size_flits) zero.
- */
-struct ObsRecord
-{
-    Cycle cycle = 0;            ///< event cycle (hop: departure); staging key
-    Cycle arrival = 0;          ///< hop: head flit buffered at the unit
-    Cycle grant = 0;            ///< hop: arbitration / injection grant
-    std::uint64_t packet = 0;
-    std::int32_t node = -1;     ///< chip the emitting unit sits on
-    std::int16_t unit = -1;     ///< router id / adapter index / ep id
-    std::int16_t port = -1;     ///< output port where meaningful
-    std::int16_t size_flits = 0;
-    std::uint8_t kind = 0;      ///< FlowUnitKind (hop) / TraceUnitKind
-    std::uint8_t vc = 0;
-    ObsTag tag = ObsTag::Trace;
-    TraceEventType event = TraceEventType::Inject; ///< trace records only
-};
-
 /**
  * The bus. Machine owns one, configures its staging for the engine's
  * lanes and largest window, merges it in the serial replay, and attaches
- * the trace sink and flow probe to it as they are enabled. Components
- * hold an ObsBinding (bus null until bound).
+ * the trace sink to it when tracing is enabled. Components hold an
+ * ObsBinding (bus null until bound).
  */
 class ObserverBus
 {
@@ -86,62 +53,60 @@ class ObserverBus
     ObserverBus &operator=(const ObserverBus &) = delete;
 
     void attachTrace(RingTraceSink &sink) { trace_ = &sink; }
-    void attachFlows(FlowProbe &probe) { flows_ = &probe; }
 
-    /** The attached subscribers (null until attached). */
+    /** The attached trace sink (null until attached). */
     RingTraceSink *trace() const { return trace_; }
-    FlowProbe *flows() const { return flows_; }
 
     /**
      * Size the staging store: one bucket per (lane, cycle % @p depth),
      * where @p depth is the largest lookahead window the engine may run
      * (so a window's cycles map to distinct buckets). Call whenever the
-     * lane count changes; staged records are discarded, so reconfigure
+     * lane count changes; staged events are discarded, so reconfigure
      * only between windows.
      */
     void configure(std::size_t lanes, std::size_t depth);
 
-    /** Publish one record (simulation hot path): dispatched directly on
+    /** Publish one event (simulation hot path): recorded directly on
      * the serial path, staged on an engine lane. */
     void
-    emit(const ObsRecord &r)
+    emit(const TraceEvent &ev)
     {
         const int lane = par::currentLane();
         if (lane >= 0) [[unlikely]] {
-            stage(lane, r);
+            stage(lane, ev);
             return;
         }
-        dispatch(r);
+        trace_->record(ev);
     }
 
-    /** Dispatch cycle @p cycle's staged records in lane order (serial
+    /** Record cycle @p cycle's staged events in lane order (serial
      * replay only). A no-op when nothing is staged. */
     void merge(Cycle cycle);
 
   private:
-    void stage(int lane, const ObsRecord &r);
-    void dispatch(const ObsRecord &r);
+    void stage(int lane, const TraceEvent &ev);
 
     RingTraceSink *trace_ = nullptr;
-    FlowProbe *flows_ = nullptr;
     std::size_t depth_ = 1;
     /** One bucket per (lane, cycle % depth_); a bucket is only touched
      * by its lane's thread during the parallel phase and drained by the
      * serial replay between windows. */
-    std::vector<std::vector<std::vector<ObsRecord>>> staged_;
+    std::vector<std::vector<std::vector<TraceEvent>>> staged_;
 };
 
 /**
- * A component's binding to the bus plus its coordinates. Components hold
- * one (bus null until bound) and emit through tracePacketEvent() /
- * flowHopEvent(), which fold the null tests, the subscriber's filter,
- * and the record assembly into one inlined call site.
+ * A component's observer binding: the bus plus its coordinates for
+ * trace events, and its flow-probe unit (detached until bound).
+ * Components emit through tracePacketEvent() and `flow.hop()`, which
+ * fold the null tests and the record assembly into one inlined call
+ * site each.
  */
 struct ObsBinding
 {
     ObserverBus *bus = nullptr;
     std::int32_t node = -1;
     std::int16_t unit = -1;
+    FlowSite flow;
 };
 
 /** Emit a packet lifecycle event (dropped unless a trace sink is
@@ -156,41 +121,16 @@ tracePacketEvent(const ObsBinding &ob, TraceUnitKind kind,
     const RingTraceSink *sink = ob.bus->trace();
     if (sink == nullptr || !sink->accepts(packet))
         return;
-    ObsRecord r;
-    r.cycle = now;
-    r.packet = packet;
-    r.node = ob.node;
-    r.unit = ob.unit;
-    r.port = static_cast<std::int16_t>(port);
-    r.kind = static_cast<std::uint8_t>(kind);
-    r.vc = static_cast<std::uint8_t>(vc);
-    r.tag = ObsTag::Trace;
-    r.event = type;
-    ob.bus->emit(r);
-}
-
-/** Emit a per-hop span (dropped unless a flow probe is attached, and for
- * multicast packets, whose replicas share one packet id). */
-inline void
-flowHopEvent(const ObsBinding &ob, FlowUnitKind kind,
-             std::uint64_t packet, int mcast_group, int size_flits,
-             Cycle arrival, Cycle grant, Cycle depart, int port, int vc)
-{
-    if (ob.bus == nullptr || ob.bus->flows() == nullptr || mcast_group >= 0)
-        return;
-    ObsRecord r;
-    r.cycle = depart;
-    r.arrival = arrival;
-    r.grant = grant;
-    r.packet = packet;
-    r.node = ob.node;
-    r.unit = ob.unit;
-    r.port = static_cast<std::int16_t>(port);
-    r.size_flits = static_cast<std::int16_t>(size_flits);
-    r.kind = static_cast<std::uint8_t>(kind);
-    r.vc = static_cast<std::uint8_t>(vc);
-    r.tag = ObsTag::FlowHop;
-    ob.bus->emit(r);
+    TraceEvent ev;
+    ev.cycle = now;
+    ev.packet = packet;
+    ev.node = ob.node;
+    ev.unit = ob.unit;
+    ev.port = static_cast<std::int16_t>(port);
+    ev.unit_kind = kind;
+    ev.type = type;
+    ev.vc = static_cast<std::uint8_t>(vc);
+    ob.bus->emit(ev);
 }
 
 } // namespace anton2

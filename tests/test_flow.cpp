@@ -9,7 +9,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -371,6 +373,163 @@ TEST(FlowSpans, SampledPacketsCarryOrderedCompleteHopPaths)
     }
 }
 
+TEST(FlowSpans, DecodedPathsReconcileWithUnitBlame)
+{
+    // A unit adds each hop's blame from the raw cycles and appends the
+    // hop to the packet's log; with every packet sampled, the decoded
+    // paths must add up to the blame counters unit by unit. The
+    // 1500-cycle torus links put every hop after a link past the
+    // packed gap field, so those hops take the log's wide form.
+    for (const Cycle torus_latency : { Cycle{ 12 }, Cycle{ 1500 } }) {
+        MachineConfig cfg;
+        cfg.radix = { 2, 2, 2 };
+        cfg.chip.endpoints_per_node = 4;
+        cfg.use_packaging = false;
+        cfg.fixed_torus_latency = torus_latency;
+        cfg.seed = 8;
+        cfg.threads = 2;
+        Machine m(cfg);
+        FlowProbeConfig fc;
+        fc.sample = 1;
+        Instrumentation finst;
+        finst.flows = fc;
+        m.attachInstrumentation(finst);
+
+        Rng traffic(41);
+        const auto nodes = static_cast<std::uint64_t>(m.geom().numNodes());
+        std::uint64_t sent = 0;
+        for (std::uint64_t i = 0; i < kPackets; ++i) {
+            const EndpointAddr src{
+                static_cast<NodeId>(traffic.below(nodes)),
+                static_cast<int>(traffic.below(4)) };
+            const EndpointAddr dst{
+                static_cast<NodeId>(traffic.below(nodes)),
+                static_cast<int>(traffic.below(4)) };
+            if (src.node == dst.node)
+                continue;
+            m.send(m.makeWrite(src, dst, 0,
+                               1 + static_cast<int>(traffic.below(2))));
+            ++sent;
+        }
+        ASSERT_TRUE(m.run(RunSpec::untilDelivered(sent, 500000)).reason
+                    == StopReason::Delivered);
+
+        const FlowProbe &probe = *m.flows();
+        ASSERT_EQ(probe.sampledSpans().size(), sent);
+        std::map<FlowUnitKey, FlowUnitBlame> from_paths;
+        std::int64_t widest_gap = 0; // arrival after the last departure
+        for (const FlowProbe::Span &s : probe.sampledSpans()) {
+            Cycle prev_depart = s.meta.birth;
+            for (const FlowHopRecord &h : s.path) {
+                FlowUnitBlame &b =
+                    from_paths[FlowUnitKey{ h.node, h.kind, h.unit }];
+                ++b.packets;
+                b.flits += static_cast<std::uint64_t>(h.size_flits);
+                b.queue_wait += h.grant - h.arrival;
+                b.xfer_cycles += h.cycle - h.grant;
+                widest_gap = std::max(
+                    widest_gap,
+                    static_cast<std::int64_t>(h.arrival - prev_depart));
+                prev_depart = h.cycle;
+            }
+        }
+        std::size_t busy_units = 0;
+        for (const auto &[key, b] : probe.blame()) {
+            if (b.packets == 0)
+                continue;
+            ++busy_units;
+            const std::string where =
+                "latency " + std::to_string(torus_latency) + " unit "
+                + b.name + " on node " + std::to_string(key.node);
+            const FlowUnitBlame &p = from_paths[key];
+            EXPECT_EQ(p.packets, b.packets) << where;
+            EXPECT_EQ(p.flits, b.flits) << where;
+            EXPECT_EQ(p.queue_wait, b.queue_wait) << where;
+            EXPECT_EQ(p.xfer_cycles, b.xfer_cycles) << where;
+        }
+        EXPECT_EQ(busy_units, from_paths.size());
+        if (torus_latency > 1024)
+            EXPECT_GE(widest_gap, 1500);
+        else
+            EXPECT_LT(widest_gap, 1024);
+    }
+}
+
+TEST(FlowHopLog, NarrowAndWideHopsDecodeExactly)
+{
+    struct Hop
+    {
+        std::uint32_t unit;
+        int port, vc;
+        Cycle arrival, grant, depart;
+    };
+    // Offsets of each hop: arrival from the previous departure (from
+    // birth for the first hop), grant from arrival, departure from
+    // grant. The packed word holds a gap in [-1024, 1023], a queue in
+    // [0, 8191] and a transfer in [0, 255]; each hop below sits on or
+    // just past one of those edges, and negative queue and transfer
+    // offsets only fit the wide form.
+    struct Offsets
+    {
+        std::uint32_t unit;
+        int port, vc;
+        std::int64_t gap, queue, xfer;
+    };
+    const std::vector<Offsets> offsets = {
+        { 0, -1, 0, 0, 10, 0 },                   // narrow
+        { (1u << 19) - 1, 14, 255, -3, 2, 2 },    // widest head fields
+        { 7, 3, 1, -1024, 5, 255 },               // narrow edges
+        { 7, 3, 1, 1023, 8191, 0 },               // narrow edges
+        { 7, 3, 1, -1025, 0, 1 },                 // wide: gap
+        { 8, 0, 2, 1024, 0, 1 },                  // wide: gap
+        { 9, 1, 3, 0, 8192, 1 },                  // wide: queue
+        { 9, 1, 3, 0, 0, 256 },                   // wide: transfer
+        { 9, 1, 3, 0, -1, 2 },                    // wide: negative queue
+        { 9, 1, 3, 0, 3, -1 },                    // wide: negative xfer
+        { 5, 2, 0, 4, 0, 1 },                     // narrow again
+    };
+    const Cycle birth = 100000;
+    std::vector<Hop> hops;
+    Cycle at = birth;
+    FlowHopLog log;
+    EXPECT_TRUE(log.empty());
+    for (const Offsets &o : offsets) {
+        Hop h{ o.unit, o.port, o.vc, 0, 0, 0 };
+        h.arrival = at + static_cast<Cycle>(o.gap);
+        h.grant = h.arrival + static_cast<Cycle>(o.queue);
+        h.depart = h.grant + static_cast<Cycle>(o.xfer);
+        at = h.depart;
+        hops.push_back(h);
+        log.append(h.unit, h.port, h.vc, h.arrival, h.grant, h.depart,
+                   birth);
+    }
+    EXPECT_FALSE(log.empty());
+    std::vector<Hop> got;
+    log.forEach(birth, [&](std::uint32_t unit, int port, int vc,
+                           Cycle arrival, Cycle grant, Cycle depart) {
+        got.push_back({ unit, port, vc, arrival, grant, depart });
+    });
+    ASSERT_EQ(got.size(), hops.size());
+    for (std::size_t i = 0; i < hops.size(); ++i) {
+        EXPECT_EQ(got[i].unit, hops[i].unit) << "hop " << i;
+        EXPECT_EQ(got[i].port, hops[i].port) << "hop " << i;
+        EXPECT_EQ(got[i].vc, hops[i].vc) << "hop " << i;
+        EXPECT_EQ(got[i].arrival, hops[i].arrival) << "hop " << i;
+        EXPECT_EQ(got[i].grant, hops[i].grant) << "hop " << i;
+        EXPECT_EQ(got[i].depart, hops[i].depart) << "hop " << i;
+    }
+
+    // A swap moves the whole log, including where its offsets resume.
+    FlowHopLog other;
+    other.swap(log);
+    EXPECT_TRUE(log.empty());
+    other.append(4, 0, 0, at + 2, at + 2, at + 3, birth);
+    Cycle last = 0;
+    other.forEach(birth, [&](std::uint32_t, int, int, Cycle, Cycle,
+                             Cycle depart) { last = depart; });
+    EXPECT_EQ(last, at + 3);
+}
+
 // ---------------------------------------------------------------------
 // Satellite regression: diameter-scaled total-latency histogram
 // ---------------------------------------------------------------------
@@ -448,14 +607,15 @@ TEST(LatencyHistogram, WorstPathOnLargeTorusLandsInRealBins)
 }
 
 // ---------------------------------------------------------------------
-// Both observer-bus subscribers attached together
+// Trace and flows attached together
 // ---------------------------------------------------------------------
 
 /**
- * Trace and flows on one machine, so trace events and hop records share
- * the bus's staging buckets. A fixed cycle budget (not a stop
- * condition) ends every schedule on the same cycle, so the Chrome
- * trace's end cycle and stall totals are comparable across windows.
+ * Trace and flows on one machine: trace events stage on the observer
+ * bus while flow hops are accounted in the shards, and the Chrome trace
+ * carries both. A fixed cycle budget (not a stop condition) ends every
+ * schedule on the same cycle, so the Chrome trace's end cycle and stall
+ * totals are comparable across windows.
  */
 struct TraceFlowRun
 {
@@ -519,6 +679,189 @@ TEST(ObserverBus, TraceAndFlowsTogetherByteIdenticalAcrossThreadsAndWindows)
             EXPECT_EQ(run.csv, base.csv)
                 << "threads=" << threads << " lookahead=" << lookahead;
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Golden exports: the flow accounting's byte-level contract
+// ---------------------------------------------------------------------
+
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char c : s) {
+        h ^= static_cast<unsigned char>(c);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** The three flow exports, as FNV-1a digests plus their sizes. */
+struct FlowGoldenExports
+{
+    std::uint64_t report_flows = 0; ///< the run report's `flows` section
+    std::uint64_t csv = 0;          ///< flow-matrix CSV
+    std::uint64_t chrome = 0;       ///< Chrome trace with sampled spans
+    std::size_t report_flows_bytes = 0;
+    std::size_t csv_bytes = 0;
+    std::size_t chrome_bytes = 0;
+    std::uint64_t deliveries = 0;
+    /** Sampled spans whose path starts past the source endpoint. */
+    std::size_t partial_spans = 0;
+};
+
+/** Queue @p count seeded packets: 1- and 2-flit writes and, one in
+ * four, a read request whose reply is a reply-class flow. */
+void
+sendMixed(Machine &m, Rng &traffic, int count)
+{
+    const auto nodes = static_cast<std::uint64_t>(m.geom().numNodes());
+    for (int i = 0; i < count; ++i) {
+        const EndpointAddr src{ static_cast<NodeId>(traffic.below(nodes)),
+                                static_cast<int>(traffic.below(4)) };
+        const EndpointAddr dst{ static_cast<NodeId>(traffic.below(nodes)),
+                                static_cast<int>(traffic.below(4)) };
+        if (src.node == dst.node)
+            continue;
+        if (traffic.below(4) == 0)
+            m.send(m.makeRead(src, dst));
+        else
+            m.send(m.makeWrite(src, dst, 0,
+                               1 + static_cast<int>(traffic.below(2))));
+    }
+}
+
+/**
+ * A mixed run with metrics at `full`, tracing, and a flow probe that
+ * samples every third packet's spans: one burst at cycle 0, a second
+ * at cycle 150, and a fixed 3000-cycle budget so every schedule ends
+ * on the same cycle. With @p attach_mid_run the probe attaches at
+ * cycle 150, while the first burst is still in flight.
+ */
+FlowGoldenExports
+runFlowGolden(int threads, Cycle lookahead, bool attach_mid_run)
+{
+    MachineConfig cfg;
+    cfg.radix = { 2, 2, 2 };
+    cfg.chip.endpoints_per_node = 4;
+    cfg.use_packaging = false;
+    cfg.fixed_torus_latency = 12;
+    cfg.seed = 23;
+    cfg.threads = threads;
+    cfg.lookahead = lookahead;
+    Machine m(cfg);
+    Instrumentation inst;
+    inst.metrics = true;
+    inst.metrics_level = MetricsLevel::Full;
+    TraceConfig tc;
+    tc.capacity = std::size_t{ 1 } << 15;
+    inst.trace = tc;
+    FlowProbeConfig fc;
+    fc.sample = 3;
+    Instrumentation flows;
+    flows.flows = fc;
+    if (!attach_mid_run)
+        inst.flows = fc;
+    m.attachInstrumentation(inst);
+
+    Rng traffic(23 * 2654435761ULL + 5);
+    sendMixed(m, traffic, 160);
+    m.run(RunSpec::forCycles(150));
+    EXPECT_EQ(m.now(), 150u);
+    if (attach_mid_run)
+        m.attachInstrumentation(flows);
+    sendMixed(m, traffic, 160);
+    m.run(RunSpec::forCycles(2850));
+    EXPECT_EQ(m.trace()->dropped(), 0u);
+
+    FlowGoldenExports out;
+    const std::string report = m.runReportJson();
+    const std::string open = "\n  \"flows\": ";
+    const std::size_t at = report.find(open);
+    const std::size_t end = report.find(",\n  \"steady_state\": ");
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_NE(end, std::string::npos);
+    const std::string section =
+        at == std::string::npos || end == std::string::npos
+            ? std::string()
+            : report.substr(at + open.size(), end - at - open.size());
+    const std::string csv = m.flowMatrixCsv();
+    const std::string chrome = m.traceChromeJson();
+    out.report_flows = fnv1a(section);
+    out.csv = fnv1a(csv);
+    out.chrome = fnv1a(chrome);
+    out.report_flows_bytes = section.size();
+    out.csv_bytes = csv.size();
+    out.chrome_bytes = chrome.size();
+    out.deliveries = m.flows()->deliveries();
+    for (const FlowProbe::Span &sp : m.flows()->sampledSpans()) {
+        if (sp.path.empty() || sp.path.front().kind != FlowUnitKind::Endpoint)
+            ++out.partial_spans;
+    }
+    return out;
+}
+
+void
+expectFlowGolden(const FlowGoldenExports &got,
+                 const FlowGoldenExports &want, const std::string &where)
+{
+    EXPECT_EQ(got.deliveries, want.deliveries) << where;
+    EXPECT_EQ(got.report_flows_bytes, want.report_flows_bytes) << where;
+    EXPECT_EQ(got.csv_bytes, want.csv_bytes) << where;
+    EXPECT_EQ(got.chrome_bytes, want.chrome_bytes) << where;
+    EXPECT_EQ(got.report_flows, want.report_flows)
+        << where << std::hex << " got 0x" << got.report_flows;
+    EXPECT_EQ(got.csv, want.csv) << where << std::hex << " got 0x"
+                                 << got.csv;
+    EXPECT_EQ(got.chrome, want.chrome)
+        << where << std::hex << " got 0x" << got.chrome;
+}
+
+// The expected values below were taken from a build whose flow probe
+// staged every hop through the observer bus and replayed it serially
+// into a blame map and per-packet path logs; the per-unit, per-packet
+// accounting must reproduce them exactly.
+
+TEST(FlowGolden, MixedRunExportsAreExactAtEveryThreadCountAndWindow)
+{
+    FlowGoldenExports want;
+    want.deliveries = 351;
+    want.report_flows_bytes = 26096;
+    want.csv_bytes = 6064;
+    want.chrome_bytes = 2497073;
+    want.report_flows = 0xfa1ca37086e390c7ULL;
+    want.csv = 0xfc6108326b301ea9ULL;
+    want.chrome = 0x2902b4b0575a226eULL;
+    for (const Cycle lookahead : { Cycle{ 1 }, Cycle{ 0 } }) {
+        for (const int threads : { 1, 2, 4 }) {
+            expectFlowGolden(runFlowGolden(threads, lookahead, false), want,
+                             "threads=" + std::to_string(threads)
+                                 + " lookahead="
+                                 + std::to_string(lookahead));
+        }
+    }
+}
+
+TEST(FlowGolden, ProbeAttachedMidRunExportsAreExact)
+{
+    // Packets in flight at the attach carry only the hops they take
+    // after it; blame counts only those hops.
+    FlowGoldenExports want;
+    want.deliveries = 197;
+    want.report_flows_bytes = 22011;
+    want.csv_bytes = 5235;
+    want.chrome_bytes = 2360482;
+    want.report_flows = 0xad3f434637b04351ULL;
+    want.csv = 0xfd6eb9a450eca5bbULL;
+    want.chrome = 0x519faee5da99a9baULL;
+    for (const Cycle lookahead : { Cycle{ 1 }, Cycle{ 0 } }) {
+        const FlowGoldenExports got = runFlowGolden(4, lookahead, true);
+        expectFlowGolden(got, want,
+                         "threads=4 lookahead="
+                             + std::to_string(lookahead));
+        EXPECT_GT(got.partial_spans, 0u)
+            << "the attach must catch packets in flight";
     }
 }
 

@@ -323,23 +323,14 @@ TEST(LookaheadEngine, SleepMasksSpanSeveralWords)
 TEST(LookaheadTrace, StagedEventsMergeInCanonicalPerCycleOrder)
 {
     RingTraceSink sink(64);
-    FlowProbeConfig fcfg;
-    fcfg.sample = 1; // keep every packet's hop path
-    FlowProbe probe(fcfg);
     ObserverBus bus;
     bus.attachTrace(sink);
-    bus.attachFlows(probe);
     bus.configure(2, /*depth=*/4);
-    const ObsBinding ob{ &bus, 0, 0 };
+    const ObsBinding ob{ &bus, 0, 0, {} };
 
-    // Each trace event shares its bucket with a hop record, so the merge
-    // has to pick the two streams apart without reordering either.
     auto emit = [&](std::uint64_t packet, Cycle cycle) {
         tracePacketEvent(ob, TraceUnitKind::Endpoint,
                          TraceEventType::Inject, cycle, packet, -1, 0);
-        flowHopEvent(ob, FlowUnitKind::Router, /*packet=*/30,
-                     /*mcast_group=*/-1, /*size_flits=*/1, cycle, cycle,
-                     cycle, static_cast<int>(packet), 0);
     };
 
     // Shard-major recording order (what a windowed worker produces):
@@ -355,7 +346,6 @@ TEST(LookaheadTrace, StagedEventsMergeInCanonicalPerCycleOrder)
         emit(11, 1);
     }
     EXPECT_EQ(sink.size(), 0u) << "events must stage, not publish";
-    EXPECT_TRUE(probe.blame().empty()) << "hops must stage, not apply";
 
     // The serial replay drains one cycle at a time, lanes in order.
     bus.merge(0);
@@ -368,20 +358,74 @@ TEST(LookaheadTrace, StagedEventsMergeInCanonicalPerCycleOrder)
     EXPECT_EQ(events[3].packet, 21u);
     for (std::size_t i = 1; i < events.size(); ++i)
         EXPECT_GE(events[i].cycle, events[i - 1].cycle);
+}
 
-    // The hop stream merged in the same canonical order (each hop's
-    // port carries its trace twin's packet id).
-    FlowDeliveryRecord d;
-    d.packet = 30;
-    d.delivered = 2;
-    probe.recordDelivery(d);
-    ASSERT_EQ(probe.sampledSpans().size(), 1u);
-    const auto &path = probe.sampledSpans()[0].path;
-    ASSERT_EQ(path.size(), 4u);
-    EXPECT_EQ(path[0].port, 10);
-    EXPECT_EQ(path[1].port, 20);
-    EXPECT_EQ(path[2].port, 11);
-    EXPECT_EQ(path[3].port, 21);
+/** The sampled span of the one packet sent corner to corner on a
+ * 2x2x2 machine (node 0 to node 7, three torus links). */
+std::vector<FlowHopRecord>
+cornerToCornerSpan(int threads, Cycle lookahead)
+{
+    MachineConfig cfg;
+    cfg.radix = { 2, 2, 2 };
+    cfg.chip.endpoints_per_node = 2;
+    cfg.use_packaging = false;
+    cfg.fixed_torus_latency = 12;
+    cfg.seed = 5;
+    cfg.threads = threads;
+    cfg.lookahead = lookahead;
+    Machine m(cfg);
+    Instrumentation inst;
+    FlowProbeConfig fcfg;
+    fcfg.sample = 1;
+    inst.flows = fcfg;
+    m.attachInstrumentation(inst);
+    // Cross traffic keeps every lane busy while the packet travels.
+    for (NodeId n = 0; n < m.geom().numNodes(); ++n)
+        m.send(m.makeWrite({ n, 1 }, { (n + 3) % 8, 1 }, 0, 2));
+    m.send(m.makeWrite({ 0, 0 }, { 7, 0 }, 0, 2));
+    EXPECT_TRUE(m.run(RunSpec::untilDelivered(9, 100000)).reason
+                == StopReason::Delivered);
+    for (const FlowProbe::Span &s : m.flows()->sampledSpans()) {
+        if (s.meta.src_node == 0 && s.meta.dst_node == 7)
+            return s.path;
+    }
+    ADD_FAILURE() << "the corner-to-corner packet left no span";
+    return {};
+}
+
+TEST(LookaheadTrace, SampledPacketAcrossLanesLogsHopsInCanonicalOrder)
+{
+    // Each unit appends its hop to the packet's own log from the shard
+    // that ticks it, so at 4 threads the path is written from several
+    // lanes; window auto runs 12 cycles per barrier. The log must still
+    // read as a serial window-1 run records it: chronological, every
+    // hop once.
+    const std::vector<FlowHopRecord> want = cornerToCornerSpan(1, 1);
+    const std::vector<FlowHopRecord> got = cornerToCornerSpan(4, 0);
+    ASSERT_FALSE(want.empty());
+    EXPECT_EQ(want.front().kind, FlowUnitKind::Endpoint);
+    int links = 0;
+    std::vector<std::int32_t> nodes;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        if (i > 0)
+            EXPECT_LT(want[i - 1].cycle, want[i].cycle) << "hop " << i;
+        links += want[i].kind == FlowUnitKind::Link ? 1 : 0;
+        if (nodes.empty() || nodes.back() != want[i].node)
+            nodes.push_back(want[i].node);
+    }
+    EXPECT_EQ(links, 3);
+    EXPECT_EQ(nodes.size(), 4u) << "the path crosses four chips";
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got[i].kind, want[i].kind) << "hop " << i;
+        EXPECT_EQ(got[i].node, want[i].node) << "hop " << i;
+        EXPECT_EQ(got[i].unit, want[i].unit) << "hop " << i;
+        EXPECT_EQ(got[i].port, want[i].port) << "hop " << i;
+        EXPECT_EQ(got[i].vc, want[i].vc) << "hop " << i;
+        EXPECT_EQ(got[i].arrival, want[i].arrival) << "hop " << i;
+        EXPECT_EQ(got[i].grant, want[i].grant) << "hop " << i;
+        EXPECT_EQ(got[i].cycle, want[i].cycle) << "hop " << i;
+    }
 }
 
 // ---------------------------------------------------------------------
